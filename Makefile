@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-all bench-compression bench-scale bench-scale-gate bench-gate figures accuracy examples all-checks
+.PHONY: install test test-fast stress-lifecycle bench bench-all bench-compression bench-scale bench-scale-gate bench-gate figures accuracy examples all-checks
 
 # Pin BLAS thread pools so benchmark numbers isolate the worker-pool
 # sharding from library-internal threading (see docs/usage.md).
@@ -41,6 +41,19 @@ test:
 
 test-fast:
 	$(PYTHON) -m pytest tests/ -m 'not slow'
+
+# Run the lifecycle manager's forced-rebuild-after-failure test
+# STRESS_RUNS times in a row, each in a fresh interpreter with pinned
+# BLAS, and stop at the first failure (printing its output).
+STRESS_RUNS ?= 200
+
+stress-lifecycle:
+	@for i in $$(seq 1 $(STRESS_RUNS)); do \
+		out=$$($(BENCH_ENV) $(PYTHON) -m pytest -q -p no:cacheprovider \
+			tests/test_lifecycle.py::TestManagerFailures::test_failed_rebuild_pins_last_good 2>&1) \
+			|| { echo "$$out"; echo "stress-lifecycle: run $$i of $(STRESS_RUNS) failed"; exit 1; }; \
+	done; \
+	echo "stress-lifecycle: $(STRESS_RUNS)/$(STRESS_RUNS) runs passed"
 
 bench:
 	mkdir -p $(dir $(BENCH_OUT))

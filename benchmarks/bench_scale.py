@@ -106,7 +106,7 @@ def run_timing() -> list[dict]:
     print("building factors for the scan kernel ...", file=sys.stderr)
     graph_a = rmat_graph(TIMING_SCALE_A, TIMING_EDGES_A, seed=31, name="bench-A")
     graph_b = rmat_graph(TIMING_SCALE_B, TIMING_EDGES_B, seed=32, name="bench-B")
-    factors = _factors_for(graph_a, graph_b, TIMING_ITERATIONS)
+    factors, _ = _factors_for(graph_a, graph_b, TIMING_ITERATIONS)
 
     def one(pool) -> float:
         start = time.perf_counter()
@@ -175,7 +175,7 @@ def child_main(mode: str, root: str) -> int:
     """
     from repro.graphs import MmapCSRGraph
     from repro.runtime import Metrics, ResourceMonitor
-    from repro.runtime.procpool import csr_from_arrays
+    from repro.runtime.workspace import csr_from_arrays
 
     monitor = ResourceMonitor(Metrics())
     baseline = monitor.sample()["process.rss_bytes"]

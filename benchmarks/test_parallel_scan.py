@@ -31,8 +31,9 @@ import pytest
 
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus
-from repro.core.topk import _row_top_k, scan_top_pairs
+from repro.core.topk import scan_top_pairs
 from repro.graphs.generators import rmat_graph
+from repro.runtime.kernels import row_top_k
 
 K_PAIRS = 100
 K_PER_QUERY = 10
@@ -132,7 +133,7 @@ def _rank_rows_legacy(block: np.ndarray, k: int):
 
 
 def _rank_rows_vectorized(block: np.ndarray, k: int):
-    return [_row_top_k(block[i], k) for i in range(block.shape[0])]
+    return [row_top_k(block[i], k) for i in range(block.shape[0])]
 
 
 @pytest.fixture(scope="module")

@@ -45,8 +45,8 @@ def effective_blas_threads() -> int:
 
     Prefers ``threadpoolctl`` when it is installed (it asks the loaded
     libraries directly); otherwise falls back to the strictest pinned
-    environment variable, then to ``os.cpu_count()`` — the default most
-    BLAS builds use when nothing is pinned.
+    environment variable, then to :func:`usable_cpu_count` — the default
+    most BLAS builds use when nothing is pinned.
     """
     try:  # pragma: no cover - threadpoolctl is optional
         from threadpoolctl import threadpool_info
@@ -67,4 +67,12 @@ def effective_blas_threads() -> int:
     ]
     if pinned:
         return min(pinned)
+    return usable_cpu_count()
+
+
+def usable_cpu_count() -> int:
+    """Cores this process may run on: its CPU affinity set (a container
+    may allow fewer than the machine has), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1

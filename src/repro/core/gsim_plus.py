@@ -76,8 +76,6 @@ every downstream score.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -87,12 +85,11 @@ import scipy.sparse as sp
 
 from repro.core.embeddings import LowRankFactors, TruncationInfo
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.runtime import procpool
-from repro.runtime.parallel import WorkerPool, shard_rows_by_nnz
+from repro.runtime import ExecutionContext, kernels
+from repro.runtime.parallel import WorkerPool
 from repro.runtime.resilience import Checkpoint, CheckpointManager
 from repro.runtime.trace import NULL_TRACER
-from repro.utils.memory import dense_matrix_bytes, resident_estimate
+from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_nonnegative_integer, resolve_node_index
 
 __all__ = ["DEFAULT_RECOMPRESS_TOL", "GSimPlus", "GSimPlusResult", "gsim_plus"]
@@ -167,12 +164,10 @@ class _IterationState:
     def similarity_matrix(self) -> np.ndarray:
         """The full normalised ``S_k`` (materialises; small graphs only)."""
         if self.dense_z is not None:
-            norm = float(np.linalg.norm(self.dense_z))
-            if norm == 0.0:
-                raise ZeroDivisionError("similarity iterate collapsed to zero")
-            return self.dense_z / norm
-        assert self.factors is not None
-        dense = self.factors.materialize(include_scale=False)
+            dense = self.dense_z
+        else:
+            assert self.factors is not None
+            dense = self.factors.materialize(include_scale=False)
         norm = float(np.linalg.norm(dense))
         if norm == 0.0:
             raise ZeroDivisionError("similarity iterate collapsed to zero")
@@ -209,26 +204,20 @@ class GSimPlus:
         preallocated step buffer follow the policy).
     max_workers:
         Worker count (or a :class:`repro.runtime.WorkerPool`) for the
-        row-sharded SpMM steps.  The default ``None`` means serial; with
-        ``w > 1`` workers each iteration splits the output rows into
-        nnz-balanced contiguous shards computed concurrently and written
-        into one preallocated output.  Row sharding never reorders any
-        per-row accumulation, so results are **bit-identical** to the
-        serial path for every worker count.
+        row-sharded SpMM steps.  The default ``None`` means serial: one
+        shard, the whole matrix.  With ``w > 1`` workers each step splits
+        the output rows into nnz-balanced contiguous shards written into
+        one preallocated output; no per-row accumulation is reordered, so
+        results are **bit-identical** for every worker count.
     backend:
-        ``"thread"`` (default) or ``"process"``.  The process backend
-        runs the same row shards in pool *processes*, shipping operands
-        as (path, row-range) descriptors (:mod:`repro.runtime.procpool`)
-        instead of pickled arrays: mmap-backed graphs
-        (:class:`repro.graphs.mmap_csr.MmapCSRGraph`) hand their on-disk
-        CSR arrays straight to the workers, in-memory operands are
-        spilled once per solver into a scratch directory, and per-step
-        factor outputs live in shared scratch memmaps the ledger charges
-        at their *resident* (not virtual) size.  Same kernels, same
-        shard splits, same per-row accumulation order — results stay
-        bit-identical to the thread and serial paths.  Ignored when
-        ``max_workers`` is already a :class:`WorkerPool` (its own
-        backend wins).
+        ``"thread"`` (default) or ``"process"``.  Every backend runs the
+        same shard kernels (:mod:`repro.runtime.kernels`); only the pool's
+        workspace (:mod:`repro.runtime.workspace`) differs in where
+        operands live.  Threads share the arrays.  Processes get file
+        descriptors: mmap-backed graphs ship their on-disk CSR arrays,
+        other operands are spilled once per solver, and step outputs are
+        shared scratch memmaps the ledger charges at their *resident*
+        size.  Ignored when ``max_workers`` is a :class:`WorkerPool`.
 
     Examples
     --------
@@ -298,26 +287,9 @@ class GSimPlus:
             None if recompress_tol is None else float(recompress_tol)
         )
         self._pool = WorkerPool.resolve(max_workers, backend=backend)
-        # name -> list[(start, stop, csr row slice)], built on first
-        # parallel step and reused every iteration thereafter.
-        self._shard_cache: dict[str, list[tuple[int, int, sp.csr_matrix]]] = {}
-        self._dense_shards: (
-            list[tuple[int, int, sp.csr_matrix, sp.csr_matrix]] | None
-        ) = None
-        # Process-backend state: the source graphs (for direct mmap-CSR
-        # descriptors), the lazy scratch directory, the per-operand
-        # descriptor cache, the row-range caches (process shards ship
-        # ranges, not slices), and the previous step's factor mappings
-        # (so step k+1 reads step k's output file instead of respilling).
-        self._graph_a = graph_a
-        self._graph_b = graph_b
-        self._scratch: tempfile.TemporaryDirectory | None = None
-        self._operand_refs: dict[str, procpool.CsrRef] = {}
-        self._range_cache: dict[str, list[tuple[int, int]]] = {}
-        self._dense_ranges: list[tuple[int, int]] | None = None
-        self._proc_prev: list[tuple[np.ndarray, procpool.ArrayRef]] = []
-        self._proc_unlink: list[str] = []
-        self._step_counter = 0
+        # Where the step operands live for this pool's workers; caches
+        # the CSR row shards, so they are cut once per solver.
+        self._ws = self._pool.workspace()
         self._initial = self._resolve_initial(initial_factors)
 
     def _resolve_initial(
@@ -387,153 +359,37 @@ class GSimPlus:
             )
         return array
 
-    def _shards(self, name: str) -> list[tuple[int, int, sp.csr_matrix]]:
-        """Cached nnz-balanced row shards of one CSR operand.
-
-        Slicing a CSR by rows copies the slice, so the cuts are made once
-        per solver (not once per iteration) and reused by every step.
-        """
-        cached = self._shard_cache.get(name)
-        if cached is not None:
-            return cached
-        matrix = {"a": self._a, "a_t": self._a_t, "b": self._b, "b_t": self._b_t}[name]
-        shards = [
-            (start, stop, matrix[start:stop])
-            for start, stop in shard_rows_by_nnz(
-                matrix.indptr, self._pool.max_workers
-            )
-        ]
-        self._shard_cache[name] = shards
-        return shards
-
-    def _count_shard_cache(self, context: ExecutionContext | None, names: int) -> None:
-        if context is not None:
-            context.metrics.increment("gsim_plus.shard_cache_hits", names)
-
-    # ------------------------------------------------------------------
-    # Process-backend plumbing (descriptors instead of shared memory)
-    # ------------------------------------------------------------------
-    def _scratch_dir(self) -> Path:
-        """Lazy per-solver scratch directory for spilled operands and
-        step outputs; removed with the solver (TemporaryDirectory GC)."""
-        if self._scratch is None:
-            self._scratch = tempfile.TemporaryDirectory(prefix="gsimplus-proc-")
-        return Path(self._scratch.name)
-
-    def _operand_ref(self, name: str) -> procpool.CsrRef:
-        """Shard descriptor of one CSR operand, built once per solver.
-
-        An mmap-CSR graph at the solver's dtype hands out its on-disk
-        arrays directly (nothing is copied or written); any other
-        operand is spilled to scratch ``.npy`` files exactly once.
-        """
-        ref = self._operand_refs.get(name)
-        if ref is not None:
-            return ref
-        graph = self._graph_a if name in ("a", "a_t") else self._graph_b
-        direct = getattr(graph, "csr_ref", None)
-        if direct is not None and self._dtype == np.float64:
-            ref = direct("adj_t" if name.endswith("_t") else "adj")
-        else:
-            matrix = {
-                "a": self._a, "a_t": self._a_t, "b": self._b, "b_t": self._b_t
-            }[name]
-            ref = procpool.spill_csr(matrix, self._scratch_dir(), f"op_{name}")
-        self._operand_refs[name] = ref
-        return ref
-
-    def _ranges(self, name: str) -> list[tuple[int, int]]:
-        """Cached nnz-balanced row ranges of one operand (the process
-        twin of :meth:`_shards` — descriptors ship ranges, not slices)."""
-        cached = self._range_cache.get(name)
-        if cached is not None:
-            return cached
-        matrix = {"a": self._a, "a_t": self._a_t, "b": self._b, "b_t": self._b_t}[name]
-        ranges = shard_rows_by_nnz(matrix.indptr, self._pool.max_workers)
-        self._range_cache[name] = ranges
-        return ranges
-
-    def _dense_pair_ranges(self) -> list[tuple[int, int]]:
-        cached = self._dense_ranges
-        if cached is None:
-            combined = np.asarray(self._a.indptr, dtype=np.int64) + np.asarray(
-                self._a_t.indptr, dtype=np.int64
-            )
-            cached = shard_rows_by_nnz(combined, self._pool.max_workers)
-            self._dense_ranges = cached
-        return cached
-
-    def _dense_input_ref(self, array: np.ndarray, stem: str) -> procpool.ArrayRef:
-        """Descriptor for a dense step input: the previous step's output
-        mapping is referenced in place; anything else is spilled."""
-        for prev_array, prev_ref in self._proc_prev:
-            if array is prev_array or array.base is prev_array:
-                return prev_ref
-        path = self._scratch_dir() / f"{stem}_{self._step_counter}.npy"
-        self._proc_unlink.append(str(path))
-        return procpool.spill_array(array, path)
-
-    def _drain_unlink(self, keep: list[str]) -> None:
-        """Remove scratch files from finished generations.
-
-        Linux keeps an unlinked file's pages alive for every open
-        mapping, so arrays still referencing a removed file stay valid;
-        the disk footprint is bounded at two factor generations.
-        """
-        for path in self._proc_unlink:
-            if path not in keep:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-        self._proc_unlink = [p for p in self._proc_unlink if p in keep]
-
-    def _step_factors_process(
-        self, factors: LowRankFactors, context: ExecutionContext | None
+    def _step_factors(
+        self, factors: LowRankFactors, context: ExecutionContext | None = None
     ) -> LowRankFactors:
-        """The Eq.(8)/(9) doubling step on the process pool.
+        """One Eq.(8)/(9) doubling step in factored form (lines 3-5).
 
-        Inputs and outputs are scratch memmaps; each worker computes
-        ``out[start:stop, off:off+w] = M[start:stop] @ dense`` from
-        descriptors (:func:`repro.runtime.procpool.spmm_shard_task`) —
-        the same kernel, shard splits, and per-row accumulation order as
-        the thread path, so the result is bit-identical.  Healing and
-        rescaling happen *in place* on the shared mapping (the in-place
-        divide performs the identical float ops as ``rescaled()``'s
-        out-of-place divide), keeping the new factors file-backed and
-        spillable.
+        ``[M @ X | Mᵀ @ X]`` for ``(M, X)`` in ``(A, U), (B, V)`` is written
+        straight into one preallocated ``(n, 2w)`` output per factor, one
+        :func:`repro.runtime.kernels.spmm_into` task per CSR row shard.
+        Healing and rescaling run in place on that output (the same float
+        ops as ``rescaled()``'s out-of-place divide).
         """
-        self._step_counter += 1
-        k = self._step_counter
+        ws = self._ws
         width = factors.width
-        scratch = self._scratch_dir()
-        u_in = self._dense_input_ref(factors.u, "fac_in_u")
-        v_in = self._dense_input_ref(factors.v, "fac_in_v")
-        new_u, u_ref = procpool.create_output(
-            scratch / f"fac_u_{k}.npy", (self.n_a, 2 * width), factors.dtype
-        )
-        new_v, v_ref = procpool.create_output(
-            scratch / f"fac_v_{k}.npy", (self.n_b, 2 * width), factors.dtype
-        )
-        tasks = []
-        for name, dense_ref, out_ref in (
-            ("a", u_in, u_ref),
-            ("a_t", u_in, u_ref),
-            ("b", v_in, v_ref),
-            ("b_t", v_in, v_ref),
-        ):
-            offset = width if name.endswith("_t") else 0
-            operand = self._operand_ref(name)
-            for start, stop in self._ranges(name):
-                tasks.append(
-                    (operand, start, stop, dense_ref, out_ref, offset, width)
-                )
-        self._count_shard_cache(context, 2)
+        u_in, v_in = ws.stage(factors.u), ws.stage(factors.v)
+        new_u, u_out = ws.empty((self.n_a, 2 * width), factors.dtype)
+        new_v, v_out = ws.empty((self.n_b, 2 * width), factors.dtype)
+        tasks = [
+            (rows, start, stop, dense, out, offset)
+            for matrix, dense, out, offset in (
+                (self._a, u_in, u_out, 0),
+                (self._a_t, u_in, u_out, width),
+                (self._b, v_in, v_out, 0),
+                (self._b_t, v_in, v_out, width),
+            )
+            for start, stop, (rows,) in ws.row_shards(matrix)
+        ]
         self._pool.map(
-            procpool.spmm_shard_task, tasks, context=context,
-            what="GSim+ SpMM shards",
+            kernels.spmm_into, tasks, context=context, what="GSim+ SpMM shards"
         )
         if context is not None:
+            context.metrics.increment("gsim_plus.shard_cache_hits", 4)
             context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
         if self.numeric_guard:
             self._healed(new_u, context)
@@ -542,146 +398,25 @@ class GSimPlus:
         max_v = float(np.abs(new_v).max(initial=0.0))
         if max_u == 0.0 or max_v == 0.0:
             # Degenerate iterate; delegate to the (copying) generic path.
-            return LowRankFactors(new_u, new_v, factors.log_scale).rescaled()
-        new_u /= max_u
-        new_v /= max_v
-        new_u.flush()
-        new_v.flush()
-        result = LowRankFactors(
-            new_u,
-            new_v,
-            factors.log_scale + math.log(max_u) + math.log(max_v),
-        )
-        self._proc_prev = [(result.u, u_ref), (result.v, v_ref)]
-        self._proc_unlink.extend([u_ref.path, v_ref.path])
-        self._drain_unlink(keep=[u_ref.path, v_ref.path])
+            result = LowRankFactors(new_u, new_v, factors.log_scale).rescaled()
+        else:
+            new_u /= max_u
+            new_v /= max_v
+            result = LowRankFactors(
+                new_u,
+                new_v,
+                factors.log_scale + math.log(max_u) + math.log(max_v),
+            )
+        ws.release(result.u, result.v)
         return result
-
-    def _step_dense_process(
-        self, z: np.ndarray, context: ExecutionContext | None
-    ) -> np.ndarray:
-        """``A Z B^T + A^T Z B`` on the process pool — the descriptor twin
-        of :meth:`_step_dense_sharded`, with the three dense temporaries
-        (``P``, ``Q``, the update) living in scratch memmaps the workers
-        write through shared mappings."""
-        self._step_counter += 1
-        k = self._step_counter
-        scratch = self._scratch_dir()
-        z_t = np.ascontiguousarray(z.T)
-        zt_path = scratch / f"dense_zt_{k}.npy"
-        zt_ref = procpool.spill_array(z_t, zt_path)
-        p, p_ref = procpool.create_output(
-            scratch / f"dense_p_{k}.npy", (self.n_a, self.n_b), z.dtype
-        )
-        q, q_ref = procpool.create_output(
-            scratch / f"dense_q_{k}.npy", (self.n_a, self.n_b), z.dtype
-        )
-        stage1 = [
-            (self._operand_ref("b"), start, stop, zt_ref, p_ref)
-            for start, stop in self._ranges("b")
-        ] + [
-            (self._operand_ref("b_t"), start, stop, zt_ref, q_ref)
-            for start, stop in self._ranges("b_t")
-        ]
-        self._count_shard_cache(context, 2)
-        self._pool.map(
-            procpool.spmm_transposed_shard_task, stage1, context=context,
-            what="GSim+ dense stage 1",
-        )
-        updated, out_ref = procpool.create_output(
-            scratch / f"dense_out_{k}.npy", (self.n_a, self.n_b), z.dtype
-        )
-        a_ref, a_t_ref = self._operand_ref("a"), self._operand_ref("a_t")
-        stage2 = [
-            (a_ref, a_t_ref, start, stop, p_ref, q_ref, out_ref)
-            for start, stop in self._dense_pair_ranges()
-        ]
-        self._count_shard_cache(context, 1)
-        self._pool.map(
-            procpool.spmm_pair_sum_task, stage2, context=context,
-            what="GSim+ dense stage 2",
-        )
-        # The caller renormalises out-of-place (`updated / norm` -> heap
-        # array), so every scratch file of this step can go immediately;
-        # the open mappings keep the pages alive until then.
-        for path in (zt_path, p_ref.path, q_ref.path, out_ref.path):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        return updated
 
     def _dense_fallback_charge(self) -> int:
         """Ledger charge for the dense rank-cap working set: the iterate
-        plus one update temporary.  On the process backend the temporary
-        is a spillable scratch memmap, charged at its bounded resident
-        estimate rather than its virtual size."""
+        plus the four buffers a dense step holds at once (``Zᵀ``, ``P``,
+        ``Q``, the update), each at its workspace cost — the full size in
+        memory, a bounded resident estimate for a process scratch map."""
         each = dense_matrix_bytes(self.n_a, self.n_b, self._dtype.itemsize)
-        if self._pool.process_parallel:
-            return each + resident_estimate(each)
-        return 2 * each
-
-    def _spmm_pair_into(
-        self,
-        name: str,
-        name_t: str,
-        matrix: sp.csr_matrix,
-        matrix_t: sp.csr_matrix,
-        dense: np.ndarray,
-        out: np.ndarray,
-        context: ExecutionContext | None,
-    ) -> None:
-        """``out = [M @ dense | M^T @ dense]`` written into a preallocated
-        output — serial in one thread, or row-sharded across the pool.
-
-        Each output row is a fixed-order accumulation over one CSR row
-        regardless of sharding, so the parallel result is bit-identical
-        to the serial one.
-        """
-        width = dense.shape[1]
-        if self._pool.serial:
-            out[:, :width] = matrix @ dense
-            out[:, width:] = matrix_t @ dense
-            return
-        tasks: list[tuple[int, int, sp.csr_matrix, int]] = []
-        for start, stop, shard in self._shards(name):
-            tasks.append((start, stop, shard, 0))
-        for start, stop, shard in self._shards(name_t):
-            tasks.append((start, stop, shard, width))
-        self._count_shard_cache(context, 2)
-
-        def _run(task: tuple[int, int, sp.csr_matrix, int]) -> None:
-            start, stop, shard, offset = task
-            out[start:stop, offset : offset + width] = shard @ dense
-
-        self._pool.map(_run, tasks, context=context, what="GSim+ SpMM shards")
-
-    def _step_factors(
-        self, factors: LowRankFactors, context: ExecutionContext | None = None
-    ) -> LowRankFactors:
-        """One Eq.(8)/(9) doubling step in factored form (lines 3-5).
-
-        The doubled factors are written straight into one preallocated
-        ``(n, 2w)`` output (no ``np.hstack`` re-copy), row-sharded across
-        the worker pool when one is configured.
-        """
-        if self._pool.process_parallel:
-            return self._step_factors_process(factors, context)
-        width = factors.width
-        new_u = np.empty((self.n_a, 2 * width), dtype=factors.dtype)
-        new_v = np.empty((self.n_b, 2 * width), dtype=factors.dtype)
-        self._spmm_pair_into(
-            "a", "a_t", self._a, self._a_t, factors.u, new_u, context
-        )
-        self._spmm_pair_into(
-            "b", "b_t", self._b, self._b_t, factors.v, new_v, context
-        )
-        if context is not None:
-            context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
-        if self.numeric_guard:
-            new_u = self._healed(new_u, context)
-            new_v = self._healed(new_v, context)
-        return LowRankFactors(new_u, new_v, factors.log_scale).rescaled()
+        return each + 4 * self._ws.buffer_cost(each)
 
     def _recompress(
         self,
@@ -733,21 +468,41 @@ class GSimPlus:
     ) -> tuple[np.ndarray, float]:
         """One Eq.(6a) step on a dense Z, renormalised to unit Frobenius.
 
-        Per-iteration scalar renormalisation is equivalent to normalising
-        once at the end (Eq.(2) vs Eq.(6) in the paper) and prevents
-        overflow in the dense regime.  Returns ``(normalised_z, log(norm))``
-        so callers can accumulate the exact log-norm of the unnormalised
-        iterate across the dense regime.
+        ``A Z Bᵀ + Aᵀ Z B`` stays in sparse-times-dense kernels via
+        ``Z Bᵀ = (B Zᵀ)ᵀ`` and ``Z B = (Bᵀ Zᵀ)ᵀ``: stage 1 shards the rows
+        of ``B``/``Bᵀ`` into C-contiguous ``P``/``Q``, stage 2 the rows of
+        ``A``/``Aᵀ`` jointly.  Per-iteration renormalisation equals
+        normalising once at the end (Eq.(2) vs Eq.(6)) and prevents
+        overflow; the returned ``(normalised_z, log(norm))`` lets callers
+        accumulate the exact log-norm of the unnormalised iterate.
         """
-        # A Z B^T + A^T Z B, staying in sparse-times-dense kernels:
-        # Z B^T = (B Z^T)^T and Z B = (B^T Z^T)^T.
-        if self._pool.serial:
-            updated = self._a @ (self._b @ z.T).T + self._a_t @ (self._b_t @ z.T).T
-        elif self._pool.process_parallel:
-            updated = self._step_dense_process(z, context)
-        else:
-            updated = self._step_dense_sharded(z, context)
+        ws = self._ws
+        z_t, z_t_in = ws.empty((self.n_b, self.n_a), z.dtype)
+        z_t[...] = z.T
+        p, p_out = ws.empty((self.n_a, self.n_b), z.dtype)
+        q, q_out = ws.empty((self.n_a, self.n_b), z.dtype)
+        stage1 = [
+            (rows, start, stop, z_t_in, out)
+            for matrix, out in ((self._b, p_out), (self._b_t, q_out))
+            for start, stop, (rows,) in ws.row_shards(matrix)
+        ]
+        self._pool.map(
+            kernels.spmm_t_into, stage1, context=context, what="GSim+ dense stage 1"
+        )
+        updated, out = ws.empty((self.n_a, self.n_b), z.dtype)
+        stage2 = [
+            (a_rows, a_t_rows, start, stop, p_out, q_out, out)
+            for start, stop, (a_rows, a_t_rows) in ws.row_shards(self._a, self._a_t)
+        ]
+        self._pool.map(
+            kernels.spmm_pair_into, stage2, context=context, what="GSim+ dense stage 2"
+        )
+        # The update is renormalised out of place below, so no scratch of
+        # this step outlives it.
+        del z_t, p, q
+        ws.release()
         if context is not None:
+            context.metrics.increment("gsim_plus.shard_cache_hits", 3)
             context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
         if self.numeric_guard:
             updated = self._healed(updated, context)
@@ -770,73 +525,6 @@ class GSimPlus:
             )
         return updated / norm, float(np.log(norm)) + log_shift
 
-    def _step_dense_sharded(
-        self, z: np.ndarray, context: ExecutionContext | None
-    ) -> np.ndarray:
-        """``A Z B^T + A^T Z B`` with both SpMM stages row-sharded.
-
-        Stage 1 computes ``P = Z B^T`` and ``Q = Z B`` by sharding the
-        rows of ``B``/``B^T`` and writing each transposed shard product
-        into a column slice, producing C-contiguous operands for stage 2
-        (the serial path pays a hidden full-copy conversion inside scipy
-        for each F-ordered transpose instead).  Stage 2 shards the output
-        rows over ``A``/``A^T`` jointly.  Every output row is the same
-        fixed-order accumulation as the serial expression, so the result
-        is bit-identical for any worker count.
-        """
-        z_t = np.ascontiguousarray(z.T)
-        p = np.empty((self.n_a, self.n_b), dtype=z.dtype)
-        q = np.empty((self.n_a, self.n_b), dtype=z.dtype)
-        stage1: list[tuple[np.ndarray, int, int, sp.csr_matrix]] = []
-        for start, stop, shard in self._shards("b"):
-            stage1.append((p, start, stop, shard))
-        for start, stop, shard in self._shards("b_t"):
-            stage1.append((q, start, stop, shard))
-        self._count_shard_cache(context, 2)
-
-        def _run_stage1(task: tuple[np.ndarray, int, int, sp.csr_matrix]) -> None:
-            out, start, stop, shard = task
-            out[:, start:stop] = (shard @ z_t).T
-
-        self._pool.map(
-            _run_stage1, stage1, context=context, what="GSim+ dense stage 1"
-        )
-
-        updated = np.empty((self.n_a, self.n_b), dtype=z.dtype)
-        pairs = self._dense_pair_shards()
-        self._count_shard_cache(context, 1)
-
-        def _run_stage2(
-            task: tuple[int, int, sp.csr_matrix, sp.csr_matrix],
-        ) -> None:
-            start, stop, a_shard, a_t_shard = task
-            updated[start:stop] = a_shard @ p + a_t_shard @ q
-
-        self._pool.map(
-            _run_stage2, pairs, context=context, what="GSim+ dense stage 2"
-        )
-        return updated
-
-    def _dense_pair_shards(
-        self,
-    ) -> list[tuple[int, int, sp.csr_matrix, sp.csr_matrix]]:
-        """Row ranges shared by ``A`` and ``A^T`` for the dense stage-2 sum,
-        balanced by the pair's combined nnz and cached across iterations."""
-        cached = self._dense_shards
-        if cached is not None:
-            return cached
-        combined_indptr = np.asarray(self._a.indptr, dtype=np.int64) + np.asarray(
-            self._a_t.indptr, dtype=np.int64
-        )
-        shards = [
-            (start, stop, self._a[start:stop], self._a_t[start:stop])
-            for start, stop in shard_rows_by_nnz(
-                combined_indptr, self._pool.max_workers
-            )
-        ]
-        self._dense_shards = shards
-        return shards
-
     def iterate(
         self,
         iterations: int,
@@ -853,8 +541,8 @@ class GSimPlus:
 
         With an :class:`repro.runtime.ExecutionContext`, every iteration is
         a checkpoint: the deadline and cancellation token are polled, the
-        working set (factor arrays, or the dense iterate plus its update
-        temporary once the rank-cap fallback engages) is charged against
+        working set (factor arrays, or the dense iterate plus one dense
+        step's buffers once the rank-cap fallback engages) is charged against
         the live memory budget *before* it is allocated, and the per-step
         width / spmm counts land in ``context.metrics`` under
         ``gsim_plus.*``.  Without a context, behaviour is unchanged.
@@ -976,70 +664,63 @@ class GSimPlus:
                     context.checkpoint(f"GSim+ iteration {k}")
                 with tracer.span("gsim_plus.iterate") as span:
                     span.set_attribute("k", k)
+                    if (
+                        factors is not None
+                        and self.rank_cap == "dense"
+                        and 2 * factors.width > width_cap
+                    ):
+                        # Paper §5.2.1 point 6: revert to traditional GSim
+                        # once the doubled width exceeds min(n_A, n_B).
+                        # Working set from here on: the dense iterate plus
+                        # one dense step's buffers.
+                        if context is not None:
+                            _account(
+                                self._dense_fallback_charge(),
+                                "GSim+ dense rank-cap fallback",
+                            )
+                        tracer.event(
+                            "gsim_plus.dense_fallback",
+                            severity="warning",
+                            k=k,
+                            width=factors.width,
+                            width_cap=width_cap,
+                        )
+                        dense_z = factors.materialize(include_scale=False)
+                        norm = float(np.linalg.norm(dense_z))
+                        if norm == 0.0:
+                            raise ZeroDivisionError(
+                                "similarity iterate collapsed to zero"
+                            )
+                        dense_z /= norm
+                        # log ||Z||_F of the exact iterate at hand-over.
+                        dense_log = float(np.log(norm)) + factors.log_scale
+                        factors = None
                     if dense_z is not None:
                         dense_z, log_norm = self._step_dense(dense_z, context)
                         dense_log += log_norm
                     else:
                         assert factors is not None
-                        if self.rank_cap == "dense" and 2 * factors.width > width_cap:
-                            # Paper §5.2.1 point 6: revert to traditional GSim
-                            # once the doubled width exceeds min(n_A, n_B).
-                            # Working set from here on: the dense iterate plus
-                            # one same-sized update temporary per step.
-                            if context is not None:
-                                _account(
-                                    self._dense_fallback_charge(),
-                                    "GSim+ dense rank-cap fallback",
-                                )
-                            tracer.event(
-                                "gsim_plus.dense_fallback",
-                                severity="warning",
-                                k=k,
-                                width=factors.width,
-                                width_cap=width_cap,
+                        factors = self._step_factors(factors, context)
+                        if self.recompress_tol is not None:
+                            factors = self._recompress(factors, k, context)
+                            span.set_attribute("retained_rank", factors.width)
+                        if (
+                            self.rank_cap == "qr-compress"
+                            and factors.width > width_cap
+                        ):
+                            factors = factors.compressed()
+                        if context is not None:
+                            _account(
+                                factors.resident_nbytes, f"GSim+ factors (k={k})"
                             )
-                            dense_z = factors.materialize(include_scale=False)
-                            norm = float(np.linalg.norm(dense_z))
-                            if norm == 0.0:
-                                raise ZeroDivisionError(
-                                    "similarity iterate collapsed to zero"
-                                )
-                            dense_z /= norm
-                            # log ||Z||_F of the exact iterate at hand-over.
-                            dense_log = float(np.log(norm)) + factors.log_scale
-                            factors = None
-                            dense_z, log_norm = self._step_dense(dense_z, context)
-                            dense_log += log_norm
-                        else:
-                            factors = self._step_factors(factors, context)
-                            if self.recompress_tol is not None:
-                                factors = self._recompress(factors, k, context)
-                                span.set_attribute(
-                                    "retained_rank", factors.width
-                                )
-                            if (
-                                self.rank_cap == "qr-compress"
-                                and factors.width > width_cap
-                            ):
-                                factors = factors.compressed()
-                            if context is not None:
-                                _account(
-                                    factors.resident_nbytes,
-                                    f"GSim+ factors (k={k})",
-                                )
-                    span.set_attribute(
-                        "width",
-                        factors.width if factors is not None else width_cap,
-                    )
+                    width = factors.width if factors is not None else width_cap
+                    span.set_attribute("width", width)
                     if dense_z is not None:
                         span.set_attribute("z_log_norm", dense_log)
                 if context is not None:
                     context.metrics.increment("gsim_plus.iterations")
                     context.metrics.increment("gsim_plus.spmm", 4)
-                    context.metrics.observe(
-                        "gsim_plus.width",
-                        factors.width if factors is not None else width_cap,
-                    )
+                    context.metrics.observe("gsim_plus.width", width)
                     context.metrics.observe("gsim_plus.bytes_held", charged)
                     if dense_z is not None:
                         context.metrics.increment("gsim_plus.dense_steps")

@@ -15,9 +15,10 @@ instead of the full ``O(rows * n_B log(rows * n_B))`` sort.
 Ordering is canonical everywhere: score descending, then lowest
 ``node_a``, then lowest ``node_b``.  Because candidate merges select by
 that total order over values (not by arrival order), the result is
-independent of block size and of worker count — the parallel scan splits
-rows into contiguous per-worker ranges, each keeps a local k-best set,
-and the final merge re-selects the global top k deterministically.
+independent of block size, worker count and backend — the scan splits
+rows into runs of whole blocks, one task of the shared kernel
+(:func:`repro.runtime.kernels.scan_pairs`) per run, each keeps a local
+k-best set, and the final merge re-selects the global top k.
 
 Entry points:
 
@@ -31,21 +32,17 @@ Entry points:
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.runtime import procpool
+from repro.runtime import ExecutionContext, kernels
 from repro.runtime.parallel import WorkerPool, shard_ranges
 from repro.runtime.trace import NULL_TRACER
-from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_positive_integer, resolve_node_index
 
 __all__ = ["ScoredPair", "scan_top_pairs", "top_k_for_queries", "top_k_pairs"]
@@ -68,9 +65,9 @@ def _factors_for(
     max_workers: "WorkerPool | int | None" = None,
     recompress_tol: float | None = None,
     precision: str = "float64",
-    backend: str = "thread",
-) -> LowRankFactors:
-    """Run GSim+ and return the final factors (factored regime enforced).
+) -> tuple[LowRankFactors, float]:
+    """Run GSim+ and return the final factors (factored regime enforced)
+    and their unscaled Frobenius norm.
 
     Uses the QR-compressed cap so the representation stays factored even
     past ``2^k >= min(n_A, n_B)`` — the scan below needs U/V, not a dense Z.
@@ -84,137 +81,34 @@ def _factors_for(
         max_workers=max_workers,
         recompress_tol=recompress_tol,
         precision=precision,
-        backend=backend,
     )
     state = None
     for state in solver.iterate(iterations, context=context):
         pass
     assert state is not None and state.factors is not None
-    return state.factors
+    norm = state.factors.frobenius_norm(include_scale=False)
+    if norm == 0.0:
+        raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
+    return state.factors, norm
 
 
-def _canonical_top_k(
-    scores: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int
-) -> np.ndarray:
-    """Indices of the ``k`` best candidates by ``(-score, row, col)``."""
-    return np.lexsort((cols, rows, -scores))[:k]
-
-
-def _row_top_k(row: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the ``k`` largest entries, ties broken by lowest column.
-
-    Matches ``np.argsort(-row, kind="stable")[:k]`` exactly, but only the
-    (at most ``k + ties``) surviving candidates are sorted.
-    """
-    n = row.size
-    if k >= n:
-        candidates = np.arange(n)
-    else:
-        kth = row[np.argpartition(-row, k - 1)[k - 1]]
-        candidates = np.flatnonzero(row >= kth)
-    return candidates[np.lexsort((candidates, -row[candidates]))[:k]]
-
-
-def _scan_range(
-    u: np.ndarray,
-    v_t: np.ndarray,
-    start: int,
-    stop: int,
-    k: int,
-    block_rows: int,
+def _record_scan(
     context: ExecutionContext | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan rows ``[start, stop)`` in bounded blocks; return the range's
-    k-best candidates as ``(scores, rows, cols)`` arrays.
-
-    The running candidate set is exact under truncation: rows are scanned
-    in ascending order, so an entry tying the current k-th score always
-    loses the ``(row, col)`` tie-break to every retained entry and can be
-    dropped; anything below the k-th score is dominated forever.
-    """
-    n_b = v_t.shape[1]
-    itemsize = v_t.dtype.itemsize
-    best_scores = np.empty(0, dtype=np.float64)
-    best_rows = np.empty(0, dtype=np.int64)
-    best_cols = np.empty(0, dtype=np.int64)
-    threshold = -np.inf
-    for block_start in range(start, stop, block_rows):
-        block_stop = min(block_start + block_rows, stop)
-        block_bytes = dense_matrix_bytes(
-            block_stop - block_start, n_b, itemsize=itemsize
+    histogram: str,
+    slow_name: str,
+    start_time: float,
+    span: object,
+    **fields: object,
+) -> None:
+    """A finished scan's latency histogram entry and slow-query record."""
+    if context is None:
+        return
+    duration = time.perf_counter() - start_time
+    context.metrics.observe_histogram(histogram, duration)
+    if context.slow_queries is not None:
+        context.slow_queries.maybe_record(
+            slow_name, duration, **fields, span_id=getattr(span, "span_id", None)
         )
-        if context is not None:
-            context.checkpoint(f"top_k_pairs scan at row {block_start}")
-            context.metrics.increment("topk.blocks_scanned")
-            context.metrics.increment(
-                "topk.rows_scanned", block_stop - block_start
-            )
-            context.charge(block_bytes, "top-k scan block")
-        try:
-            flat = (u[block_start:block_stop] @ v_t).ravel()
-            # Candidates: everything that can still reach the top k.  The
-            # >= keeps score ties with the current k-th entry, so the merge
-            # below decides them by the canonical order, never by arrival.
-            if threshold > -np.inf:
-                candidates = np.flatnonzero(flat >= threshold)
-            else:
-                candidates = np.arange(flat.size)
-            values = flat[candidates]
-        finally:
-            if context is not None:
-                context.release(block_bytes)
-        if values.size > k:
-            kth = values[np.argpartition(-values, k - 1)[k - 1]]
-            keep = values >= kth
-            candidates = candidates[keep]
-            values = values[keep]
-        if candidates.size == 0:
-            continue
-        merged_scores = np.concatenate([best_scores, values])
-        merged_rows = np.concatenate(
-            [best_rows, block_start + candidates // n_b]
-        )
-        merged_cols = np.concatenate([best_cols, candidates % n_b])
-        order = _canonical_top_k(merged_scores, merged_rows, merged_cols, k)
-        best_scores = merged_scores[order]
-        best_rows = merged_rows[order]
-        best_cols = merged_cols[order]
-        if best_scores.size == k:
-            threshold = float(best_scores[-1])
-    return best_scores, best_rows, best_cols
-
-
-# ----------------------------------------------------------------------
-# Process-pool worker tasks (module level: picklable under fork and spawn).
-# Inputs arrive as (path, range) descriptors; only the k-best survivors —
-# a few hundred bytes — travel back through pickle.
-# ----------------------------------------------------------------------
-def _scan_pairs_task(
-    task: "tuple[procpool.ArrayRef, procpool.ArrayRef, int, int, int, int]",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One contiguous row range of the pair scan, in a pool process —
-    the identical :func:`_scan_range` kernel the thread path runs."""
-    u_ref, v_t_ref, start, stop, k, block_rows = task
-    u = procpool.load_ref(u_ref)
-    v_t = procpool.load_ref(v_t_ref)
-    return _scan_range(u, v_t, start, stop, k, block_rows, None)
-
-
-def _scan_queries_task(
-    task: "tuple[procpool.ArrayRef, procpool.ArrayRef, procpool.ArrayRef, int, int, int]",
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """One query chunk of the per-query scan, in a pool process."""
-    u_ref, v_t_ref, rows_ref, start, stop, k = task
-    u = procpool.load_ref(u_ref)
-    v_t = procpool.load_ref(v_t_ref)
-    rows = procpool.load_ref(rows_ref)
-    chunk = rows[start:stop]
-    block = u[chunk] @ v_t
-    out = []
-    for i, node_a in enumerate(chunk):
-        order = _row_top_k(block[i], k)
-        out.append((int(node_a), order, block[i, order]))
-    return out
 
 
 def scan_top_pairs(
@@ -231,48 +125,24 @@ def scan_top_pairs(
     ``score_scale`` multiplies the raw factored scores in the returned
     pairs (callers pass ``1 / ||Z||_F`` for normalised scores); the
     ranking itself uses the raw scores, so any positive scale yields the
-    same pairs.  With ``max_workers > 1`` the rows split into contiguous
-    per-worker ranges whose local k-best sets are merged by the canonical
-    ``(-score, node_a, node_b)`` order — results are identical for every
-    worker count and block size.
+    same pairs.  With ``max_workers > 1`` the blocks split into contiguous
+    per-worker runs whose local k-best sets are merged by the canonical
+    ``(-score, node_a, node_b)`` order — results and scan counters are
+    identical for every worker count and backend.
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
     n_a, n_b = factors.shape
     k = min(k, n_a * n_b)
     pool = WorkerPool.resolve(max_workers, backend=backend)
-    v_t = np.ascontiguousarray(factors.v.T)
-    u = factors.u
     tracer = context.tracer if context is not None else NULL_TRACER
-
-    def _scan(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        start, stop = bounds
-        return _scan_range(u, v_t, start, stop, k, block_rows, context)
-
-    def _map_ranges() -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        bounds = shard_ranges(n_a, pool.max_workers)
-        if not pool.process_parallel:
-            return pool.map(
-                _scan, bounds, context=context, what="top-k pair scan"
-            )
-        # Process backend: spill the two factor operands once, ship
-        # (descriptor, row range) tasks, get back only each range's
-        # k-best candidates.  Same kernel and canonical merge order, so
-        # the result is bit-identical to the thread and serial scans.
-        with tempfile.TemporaryDirectory(prefix="gsimplus-topk-") as scratch:
-            u_ref = procpool.spill_array(u, Path(scratch) / "u.npy")
-            v_t_ref = procpool.spill_array(v_t, Path(scratch) / "v_t.npy")
-            tasks = [
-                (u_ref, v_t_ref, start, stop, k, block_rows)
-                for start, stop in bounds
-            ]
-            if context is not None:
-                context.metrics.increment(
-                    "topk.rows_scanned", n_a
-                )
-            return pool.map(
-                _scan_pairs_task, tasks, context=context, what="top-k pair scan"
-            )
+    # Shards are runs of whole blocks, so the blocks scanned — and every
+    # per-block counter — do not depend on the worker count.
+    num_blocks = -(-n_a // block_rows)
+    bounds = [
+        (first * block_rows, min(last * block_rows, n_a))
+        for first, last in shard_ranges(num_blocks, pool.max_workers)
+    ]
 
     start_time = time.perf_counter()
     with tracer.span("topk.scan_pairs") as span:
@@ -280,32 +150,36 @@ def scan_top_pairs(
         span.set_attribute("rows", n_a)
         span.set_attribute("cols", n_b)
         try:
-            parts = _map_ranges()
+            with pool.workspace() as ws:
+                u = ws.stage(factors.u)
+                v_t = ws.stage(np.ascontiguousarray(factors.v.T))
+                scan_context = ws.kernel_context(context)
+                tasks = [
+                    (u, v_t, start, stop, k, block_rows, scan_context)
+                    for start, stop in bounds
+                ]
+                parts = pool.map(
+                    kernels.scan_pairs, tasks, context=context, what="top-k pair scan"
+                )
+            if context is not None:
+                context.metrics.increment("topk.blocks_scanned", num_blocks)
+                context.metrics.increment("topk.rows_scanned", n_a)
             if not parts:
                 return []
             scores = np.concatenate([part[0] for part in parts])
             rows = np.concatenate([part[1] for part in parts])
             cols = np.concatenate([part[2] for part in parts])
-            order = _canonical_top_k(scores, rows, cols, k)
+            order = kernels.canonical_top_k(scores, rows, cols, k)
             return [
                 ScoredPair(int(rows[i]), int(cols[i]), float(scores[i]) * score_scale)
                 for i in order
             ]
         finally:
-            if context is not None:
-                duration = time.perf_counter() - start_time
-                context.metrics.observe_histogram("topk.scan_seconds", duration)
-                if context.slow_queries is not None:
-                    context.slow_queries.maybe_record(
-                        "topk.scan_pairs",
-                        duration,
-                        k=int(k),
-                        rows=int(n_a),
-                        cols=int(n_b),
-                        width=factors.width,
-                        workers=pool.max_workers,
-                        span_id=getattr(span, "span_id", None),
-                    )
+            _record_scan(
+                context, "topk.scan_seconds", "topk.scan_pairs", start_time, span,
+                k=int(k), rows=int(n_a), cols=int(n_b),
+                width=factors.width, workers=pool.max_workers,
+            )
 
 
 def top_k_pairs(
@@ -340,27 +214,17 @@ def top_k_pairs(
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
-    factors = _factors_for(
-        graph_a,
-        graph_b,
-        iterations,
-        context=context,
-        max_workers=max_workers,
-        recompress_tol=recompress_tol,
-        precision=precision,
-        backend=backend,
+    pool = WorkerPool.resolve(max_workers, backend=backend)  # build and scan
+    factors, norm = _factors_for(
+        graph_a, graph_b, iterations, context, pool, recompress_tol, precision
     )
-    norm = factors.frobenius_norm(include_scale=False)
-    if norm == 0.0:
-        raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
     return scan_top_pairs(
         factors,
         k,
         block_rows=block_rows,
         context=context,
-        max_workers=max_workers,
+        max_workers=pool,
         score_scale=1.0 / norm,
-        backend=backend,
     )
 
 
@@ -387,101 +251,47 @@ def top_k_for_queries(
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
-    factors = _factors_for(
-        graph_a,
-        graph_b,
-        iterations,
-        context=context,
-        max_workers=max_workers,
-        recompress_tol=recompress_tol,
-        precision=precision,
-        backend=backend,
+    pool = WorkerPool.resolve(max_workers, backend=backend)  # build and scan
+    factors, norm = _factors_for(
+        graph_a, graph_b, iterations, context, pool, recompress_tol, precision
     )
     rows = resolve_node_index(
         queries_a, factors.shape[0], "queries_a",
         allow_empty=True, allow_duplicates=True,
     )
-    n_b = factors.shape[1]
-    k = min(k, n_b)
-    norm = factors.frobenius_norm(include_scale=False)
-    if norm == 0.0:
-        raise ZeroDivisionError("similarity collapsed to zero; no ranking exists")
-    pool = WorkerPool.resolve(max_workers, backend=backend)
-    v_t = np.ascontiguousarray(factors.v.T)
-    u = factors.u
-
-    def _scan_chunk(
-        bounds: tuple[int, int],
-    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        start, stop = bounds
-        chunk = rows[start:stop]
-        block_bytes = dense_matrix_bytes(
-            chunk.size, n_b, itemsize=v_t.dtype.itemsize
-        )
-        if context is not None:
-            context.checkpoint(f"top_k_for_queries scan at query {start}")
-            context.metrics.increment("topk.blocks_scanned")
-            context.metrics.increment("topk.rows_scanned", int(chunk.size))
-            context.charge(block_bytes, "top-k query block")
-        try:
-            block = u[chunk] @ v_t
-            out = []
-            for i, node_a in enumerate(chunk):
-                order = _row_top_k(block[i], k)
-                # Copy only the k survivors so the full block can be freed.
-                out.append((int(node_a), order, block[i, order]))
-            return out
-        finally:
-            if context is not None:
-                context.release(block_bytes)
-
+    k = min(k, factors.shape[1])
     chunk_bounds = [
         (start, min(start + block_rows, rows.size))
         for start in range(0, rows.size, block_rows)
     ]
-    def _map_chunks() -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
-        if not (pool.process_parallel and chunk_bounds):
-            return pool.map(
-                _scan_chunk, chunk_bounds, context=context, what="top-k query scan"
-            )
-        with tempfile.TemporaryDirectory(prefix="gsimplus-topk-") as scratch:
-            u_ref = procpool.spill_array(u, Path(scratch) / "u.npy")
-            v_t_ref = procpool.spill_array(v_t, Path(scratch) / "v_t.npy")
-            rows_ref = procpool.spill_array(rows, Path(scratch) / "rows.npy")
-            tasks = [
-                (u_ref, v_t_ref, rows_ref, start, stop, k)
-                for start, stop in chunk_bounds
-            ]
-            if context is not None:
-                context.metrics.increment("topk.rows_scanned", int(rows.size))
-            return pool.map(
-                _scan_queries_task, tasks, context=context,
-                what="top-k query scan",
-            )
-
     tracer = context.tracer if context is not None else NULL_TRACER
     start_time = time.perf_counter()
     with tracer.span("topk.query_scan") as span:
         span.set_attribute("queries", int(rows.size))
         span.set_attribute("k", k)
         try:
-            parts = _map_chunks()
-        finally:
-            if context is not None:
-                duration = time.perf_counter() - start_time
-                context.metrics.observe_histogram(
-                    "topk.query_scan_seconds", duration
+            with pool.workspace() as ws:
+                u = ws.stage(factors.u)
+                v_t = ws.stage(np.ascontiguousarray(factors.v.T))
+                queries = ws.stage(rows)
+                scan_context = ws.kernel_context(context)
+                tasks = [
+                    (u, v_t, queries, start, stop, k, scan_context)
+                    for start, stop in chunk_bounds
+                ]
+                parts = pool.map(
+                    kernels.scan_queries, tasks, context=context,
+                    what="top-k query scan",
                 )
-                if context.slow_queries is not None:
-                    context.slow_queries.maybe_record(
-                        "topk.query_scan",
-                        duration,
-                        queries=int(rows.size),
-                        k=int(k),
-                        width=factors.width,
-                        workers=pool.max_workers,
-                        span_id=getattr(span, "span_id", None),
-                    )
+            if context is not None:
+                context.metrics.increment("topk.blocks_scanned", len(chunk_bounds))
+                context.metrics.increment("topk.rows_scanned", int(rows.size))
+        finally:
+            _record_scan(
+                context, "topk.query_scan_seconds", "topk.query_scan", start_time,
+                span, queries=int(rows.size), k=int(k),
+                width=factors.width, workers=pool.max_workers,
+            )
     results: dict[int, list[ScoredPair]] = {}
     for part in parts:
         for node_a, order, scores in part:

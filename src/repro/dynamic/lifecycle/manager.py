@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.dynamic.graph import DynamicGraph
 from repro.dynamic.lifecycle.generation import GenerationLease, IndexGeneration
@@ -172,6 +174,7 @@ class IndexGenerationManager:
         self._next_ordinal = 1
         self._rebuild_requested = False
         self._rebuilding = False
+        self._quiesced = 0  # open quiesced() blocks; background cycles wait
         self._closed = False
         self._worker: threading.Thread | None = None
         self._last_failure: str | None = None
@@ -356,15 +359,41 @@ class IndexGenerationManager:
         open, and its outcome feeds back into the breaker.  Build
         failures re-raise to the caller; the previous generation stays
         installed and serving, so a failed forced rebuild never poisons
-        the session.
+        the session.  A background rebuild already pending or in flight
+        when the call begins is not duplicated: once it installs a
+        generation for the versions current at the call, this call waits
+        for it on the build lock and returns that generation.
         """
-        installed = self._run_rebuild_cycle(force=True)
+        with self._cond:
+            # A background rebuild pending or in flight now has claimed
+            # the current versions; if it installs them, reuse it.
+            versions = (self._graph_a.version, self._graph_b.version)
+            claimed = self._rebuild_requested or self._rebuilding
+            claim = (versions, self._next_ordinal) if claimed else None
+        installed = self._run_rebuild_cycle(force=True, claim=claim)
         if installed is None:
             # The graphs were already fresh under the build lock.
             with self._cond:
                 assert self._live is not None
                 return self._live
         return installed
+
+    @contextmanager
+    def quiesced(self) -> Iterator["IndexGenerationManager"]:
+        """Hold background rebuilds for a ``with`` block: wait out a cycle
+        already running, then start none until the block exits (requests
+        stay queued).  :meth:`rebuild_now` still runs, so a forced rebuild
+        can be sequenced with no background build racing it."""
+        with self._cond:
+            self._quiesced += 1
+            while self._rebuilding:
+                self._cond.wait()
+        try:
+            yield self
+        finally:
+            with self._cond:
+                self._quiesced -= 1
+                self._cond.notify_all()
 
     def warm(self) -> IndexGeneration:
         """Ensure a first generation exists (build synchronously if not)."""
@@ -418,7 +447,9 @@ class IndexGenerationManager:
     def _worker_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._closed and not self._rebuild_requested:
+                while not self._closed and (
+                    self._quiesced or not self._rebuild_requested
+                ):
                     self._cond.wait()
                 if self._closed:
                     return
@@ -438,13 +469,20 @@ class IndexGenerationManager:
                     self._rebuilding = False
                     self._cond.notify_all()
 
-    def _run_rebuild_cycle(self, force: bool) -> IndexGeneration | None:
+    def _run_rebuild_cycle(
+        self,
+        force: bool,
+        claim: tuple[tuple[int, int], int] | None = None,
+    ) -> IndexGeneration | None:
         """One build-and-install attempt cycle.
 
         ``force=True`` (synchronous callers) bypasses the breaker's
         refusal — it acts as the half-open probe — and re-raises build
         failures.  ``force=False`` (the worker) respects the breaker,
         records failures, and paces itself instead of raising.
+        ``claim = (versions, ordinal)`` names a background build the
+        caller defers to: a generation for ``versions`` installed at
+        ``ordinal`` or later is returned instead of building again.
         """
         metrics = self._context.metrics
         tracer = self._context.tracer
@@ -457,9 +495,20 @@ class IndexGenerationManager:
                         self._cond.wait(min(max(pause, 0.01), 1.0))
                 self._note_breaker_state()
                 return None
+            if claim is not None:
+                versions, ordinal = claim
+                with self._cond:
+                    live = self._live
+                    if (
+                        live is not None
+                        and live.ordinal >= ordinal
+                        and live.versions == versions
+                    ):
+                        metrics.increment("lifecycle.rebuilds_coalesced")
+                        return live
             # Re-check under the build lock: a competing rebuild_now may
             # have already installed a generation for the current state.
-            # Forced rebuilds skip this — refresh() means rebuild, always.
+            # Other forced rebuilds skip this — refresh() means rebuild.
             if not force:
                 with self._cond:
                     if self._live is not None and self._staleness_locked().fresh:

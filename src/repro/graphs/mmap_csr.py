@@ -25,8 +25,9 @@ Artifact layout (one directory per graph)::
 
 Arrays are raw native-endian buffers (dtype and length live in the
 manifest), so a worker process can map any of them from an
-(path, dtype, shape) descriptor without reading a header — see
-:mod:`repro.runtime.procpool`.
+(path, dtype, shape) descriptor without reading a header — the process
+workspace of :mod:`repro.runtime.workspace` ships a mapped graph's
+operands that way instead of copying them.
 
 The converter runs in bounded memory: two streaming parse passes (count,
 scatter), a block-wise canonicalisation pass (duplicates summed, stored
@@ -53,7 +54,7 @@ import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.graphs.io import _MODES, _parse_lines, _SkipCounter, _warn_skips
-from repro.runtime.procpool import ArrayRef, CsrRef
+from repro.runtime.workspace import ArrayRef, CsrRef, csr_from_arrays
 from repro.runtime.resilience import atomic_write, content_checksum
 from repro.utils.memory import resident_nbytes
 
@@ -135,9 +136,10 @@ class MmapCSRGraph(Graph):
     :func:`convert_edge_list` / :meth:`from_graph`).  The full
     ``Graph`` API works unchanged; additionally:
 
-    * :meth:`csr_ref` hands out (path, dtype, shape) descriptors for the
-      process-pool backend, so worker processes map the same files
-      instead of receiving pickled slices;
+    * :meth:`csr_ref` hands out the (path, dtype, shape) descriptors
+      worker processes map the same files through (the process
+      workspace derives the same descriptors from the mapped arrays,
+      so a pool never receives pickled slices);
     * :meth:`release_pages` advises the kernel to drop the (clean) CSR
       pages, bounding resident memory during streaming scans;
     * :meth:`resident_bytes` reports the pages actually in RAM right
@@ -194,26 +196,19 @@ class MmapCSRGraph(Graph):
         n = int(manifest["num_nodes"])
         # Bypass Graph.__init__: it would copy + re-canonicalise; the
         # artifact is canonical by construction and must stay mapped.
-        self._adj = self._csr_view(arrays, "adj", n)
-        self._adj_t = self._csr_view(arrays, "adj_t", n)
+        self._adj, self._adj_t = (
+            csr_from_arrays(
+                arrays[f"{prefix}.indptr"],
+                arrays[f"{prefix}.indices"],
+                arrays[f"{prefix}.data"],
+                (n, n),
+            )
+            for prefix in ("adj", "adj_t")
+        )
         self._name = str(manifest.get("name", root.name))
         self._root = root
         self._manifest = manifest
         self._arrays = arrays
-
-    @staticmethod
-    def _csr_view(
-        arrays: dict[str, np.ndarray], prefix: str, n: int
-    ) -> sp.csr_matrix:
-        matrix = sp.csr_matrix((n, n), dtype=_VALUE_DTYPE)
-        matrix.indptr = arrays[f"{prefix}.indptr"]
-        matrix.indices = arrays[f"{prefix}.indices"]
-        matrix.data = arrays[f"{prefix}.data"]
-        # Canonical by construction (sorted, deduplicated, no stored
-        # zeros); the flags stop scipy from mutating read-only maps.
-        matrix.has_sorted_indices = True
-        matrix.has_canonical_format = True
-        return matrix
 
     # ------------------------------------------------------------------
     # Constructors

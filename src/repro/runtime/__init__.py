@@ -45,7 +45,7 @@ from repro.runtime.metrics import (
     histogram_bucket_bounds,
 )
 from repro.runtime.parallel import WorkerPool, shard_ranges, shard_rows_by_nnz
-from repro.runtime.procpool import ArrayRef, CsrRef
+from repro.runtime.workspace import ArrayRef, CsrRef
 from repro.runtime.trace import (
     NULL_TRACER,
     NullTracer,

@@ -11,10 +11,11 @@ measurement are supported, all keyed by dot-separated names
   :meth:`add_time`);
 * **gauges** — last/max values (:meth:`set_gauge` / :meth:`record_max`);
 * **series** — ordered per-step observations such as the factor width per
-  iteration (:meth:`observe`);
+  iteration (:meth:`observe`), holding the newest
+  :data:`SERIES_CAPACITY` values so a long-lived sink stays bounded;
 * **histograms** — log-spaced bucketed distributions with p50/p90/p99
   estimates (:meth:`observe_histogram`), the latency-distribution kind:
-  a series stores every observation, a histogram stores a fixed bucket
+  a series stores recent observations, a histogram stores a fixed bucket
   layout so a million per-query latencies cost a few hundred ints and
   two snapshots merge by plain bucket addition.
 
@@ -30,10 +31,16 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator, NamedTuple
 
 __all__ = ["HISTOGRAM_BUCKETS", "Metrics", "TimerReading", "histogram_bucket_bounds"]
+
+# Values one series keeps (the newest): far above one run's per-iteration
+# series, it bounds sinks that live as long as a session, e.g. a live
+# index's metrics, which observe on every rebuild.
+SERIES_CAPACITY = 1024
 
 
 def _tidy(value: float) -> float | int:
@@ -183,7 +190,7 @@ class Metrics:
         self._counters: dict[str, float] = {}
         self._timers: dict[str, list[float]] = {}  # name -> [seconds, calls]
         self._gauges: dict[str, float] = {}
-        self._series: dict[str, list[float]] = {}
+        self._series: dict[str, deque[float]] = {}
         self._histograms: dict[str, _Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -250,9 +257,12 @@ class Metrics:
     # Series
     # ------------------------------------------------------------------
     def observe(self, name: str, value: float) -> None:
-        """Append ``value`` to the ordered series ``name``."""
+        """Append ``value`` to the ordered series ``name`` (dropping its
+        oldest value once it holds :data:`SERIES_CAPACITY`)."""
         with self._lock:
-            self._series.setdefault(name, []).append(float(value))
+            self._series.setdefault(name, deque(maxlen=SERIES_CAPACITY)).append(
+                float(value)
+            )
 
     def series(self, name: str) -> list[float]:
         """A copy of series ``name`` (empty when never observed)."""
@@ -341,9 +351,9 @@ class Metrics:
     def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` from another instance into this one.
 
-        Counters and timers add, gauges take the max, series extend — the
-        right semantics for aggregating per-cell metrics into a session
-        total.
+        Counters and timers add, gauges take the max, series extend (up
+        to the same :data:`SERIES_CAPACITY`) — the right semantics for
+        aggregating per-cell metrics into a session total.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.increment(name, value)
@@ -356,7 +366,8 @@ class Metrics:
             self.record_max(name, value)
         for name, values in snapshot.get("series", {}).items():
             with self._lock:
-                self._series.setdefault(name, []).extend(float(v) for v in values)
+                series = self._series.setdefault(name, deque(maxlen=SERIES_CAPACITY))
+                series.extend(float(v) for v in values)
         for name, entry in snapshot.get("histograms", {}).items():
             with self._lock:
                 histogram = self._histograms.get(name)

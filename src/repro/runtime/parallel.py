@@ -17,9 +17,10 @@ provides the one pool abstraction they all share:
   ``backend="process"``: a persistent ``ProcessPoolExecutor`` for the
   kernels that *hold* the GIL (blocked top-k selection, per-row Python
   loops).  Work must be shipped as (module-level function, picklable
-  descriptor) pairs — see :mod:`repro.runtime.procpool` for the
-  (mmap path, row-range) descriptors that keep shard payloads at a few
-  hundred bytes regardless of array size.  Worker processes pin their
+  item) pairs: the shard kernels of :mod:`repro.runtime.kernels` over
+  the handles a :meth:`WorkerPool.workspace` hands out, which for a
+  process pool are (file, row-range) descriptors a few hundred bytes
+  long regardless of array size.  Worker processes pin their
   BLAS pools via :mod:`_repro_blas_pin` (mirroring the CI pinning) so a
   w-process pool never oversubscribes cores with w × BLAS threads; the
   *effective* in-worker thread count is probed and recorded in
@@ -59,14 +60,23 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from concurrent.futures import (
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 import _repro_blas_pin
 from repro.runtime.context import ExecutionContext
 from repro.runtime.trace import NULL_TRACER
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.workspace import Workspace
 
 __all__ = ["WorkerPool", "shard_ranges", "shard_rows_by_nnz"]
 
@@ -89,8 +99,6 @@ def _default_mp_context() -> str:
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-_SKIPPED = object()  # sentinel: shard short-circuited after an earlier error
 
 
 def shard_ranges(total: int, num_shards: int) -> list[tuple[int, int]]:
@@ -154,7 +162,8 @@ class WorkerPool:
     Parameters
     ----------
     max_workers:
-        Worker count.  ``None`` resolves to ``os.cpu_count()``; ``1`` is
+        Worker count.  ``None`` resolves to the cores this process may
+        run on (its CPU affinity set, else ``os.cpu_count()``); ``1`` is
         the serial mode (shards run inline, in order, in the calling
         thread — the determinism-debugging configuration).
     backend:
@@ -199,7 +208,7 @@ class WorkerPool:
         mp_context: str | None = None,
     ) -> None:
         if max_workers is None:
-            max_workers = os.cpu_count() or 1
+            max_workers = _repro_blas_pin.usable_cpu_count()
         if not isinstance(max_workers, (int, np.integer)) or isinstance(
             max_workers, bool
         ):
@@ -233,8 +242,7 @@ class WorkerPool:
         """
         if isinstance(workers, cls):
             return workers
-        if workers is None:
-            return cls(max_workers=1, backend=backend or "thread")
+        workers = 1 if workers is None else workers
         return cls(max_workers=workers, backend=backend or "thread")
 
     @property
@@ -242,10 +250,19 @@ class WorkerPool:
         """True when shards run inline in the calling thread."""
         return self.max_workers == 1
 
-    @property
-    def process_parallel(self) -> bool:
-        """True when shards cross a process boundary (descriptor path)."""
-        return self.backend == "process" and not self.serial
+    def workspace(self) -> "Workspace":
+        """A fresh operand workspace for this pool's shard kernels.
+
+        One per solver or scan: it places operands where this pool's
+        workers can reach them (:mod:`repro.runtime.workspace`) —
+        arrays in place for serial and thread pools, file descriptors
+        for process pools.
+        """
+        from repro.runtime.workspace import ProcessWorkspace, Workspace
+
+        if self.backend == "process" and not self.serial:
+            return ProcessWorkspace(self.max_workers)
+        return Workspace(self.max_workers)
 
     # ------------------------------------------------------------------
     # Process-backend executor lifecycle
@@ -313,8 +330,8 @@ class WorkerPool:
         granularity; per-shard wall time lands in the
         ``parallel.shard_seconds`` timer.  The first shard to fail — in
         *submission* order, independent of thread scheduling — has its
-        exception re-raised here, and shards that had not started yet are
-        skipped.
+        exception re-raised here; shards not yet started when any shard
+        fails are cancelled.
         """
         work: Sequence[T] = list(items)
         tracer = context.tracer if context is not None else NULL_TRACER
@@ -334,33 +351,13 @@ class WorkerPool:
             ]
         if self.backend == "process":
             return self._map_process(fn, work, context, what, tracer, parent)
-        abort = threading.Event()
-
-        def _guarded(item: T) -> R:
-            if abort.is_set():
-                return _SKIPPED  # type: ignore[return-value]
-            try:
-                return self._run_shard(fn, item, context, what, tracer, parent)
-            except BaseException:
-                abort.set()
-                raise
+        run = self._run_shard
         with ThreadPoolExecutor(max_workers=self.max_workers) as executor:
-            futures = [executor.submit(_guarded, item) for item in work]
-            results: list[R] = []
-            first_error: BaseException | None = None
-            for future in futures:
-                try:
-                    outcome = future.result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                if outcome is _SKIPPED and first_error is not None:
-                    continue
-                results.append(outcome)
-            if first_error is not None:
-                raise first_error
-            return results
+            futures = [
+                executor.submit(run, fn, item, context, what, tracer, parent)
+                for item in work
+            ]
+            return _gather(futures)
 
     def _map_process(
         self,
@@ -374,13 +371,11 @@ class WorkerPool:
         """Ship shards to the persistent process executor.
 
         ``fn`` and every item must be picklable (module-level kernels over
-        :mod:`repro.runtime.procpool` descriptors).  Semantics match the
-        thread path: results in submission order, the first failure in
-        submission order wins and not-yet-started shards are cancelled.
-        The context cannot cross the process boundary, so cancellation /
-        deadline / fault-injection fire at batch granularity in the
-        parent, and per-shard wall time is observed from the parent's
-        side of each future.
+        :mod:`repro.runtime.workspace` descriptors); results and failures
+        are gathered as on the thread path.  The context cannot cross the
+        process boundary, so cancellation / deadline / fault-injection
+        fire at batch granularity in the parent, and the batch's wall
+        time is observed from the parent's side.
         """
         executor = self._process_executor()
         if context is not None and self._worker_info is not None:
@@ -395,26 +390,15 @@ class WorkerPool:
         with tracer.span("parallel.process_batch", parent=parent) as span:
             span.set_attribute("what", what)
             span.set_attribute("shards", len(work))
-            futures = [executor.submit(fn, item) for item in work]
-            results: list[R] = []
-            first_error: BaseException | None = None
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = exc
-                        for pending in futures:
-                            pending.cancel()
-            if context is not None:
-                context.metrics.add_time(
-                    "parallel.shard_seconds", time.perf_counter() - start
-                )
-                context.metrics.increment("parallel.shards", len(work))
-                context.checkpoint(what)
-            if first_error is not None:
-                raise first_error
-            return results
+            try:
+                return _gather([executor.submit(fn, item) for item in work])
+            finally:
+                if context is not None:
+                    context.metrics.add_time(
+                        "parallel.shard_seconds", time.perf_counter() - start
+                    )
+                    context.metrics.increment("parallel.shards", len(work))
+                    context.checkpoint(what)
 
     @staticmethod
     def _run_shard(
@@ -444,6 +428,25 @@ class WorkerPool:
             f"WorkerPool(max_workers={self.max_workers}, "
             f"backend={self.backend!r})"
         )
+
+
+def _gather(futures: list[Future]) -> list:
+    """Shard results in submission order.  Once any shard fails, the
+    shards that have not started are cancelled; the first failure *in
+    submission order* is re-raised."""
+
+    def cancel_rest(done: Future) -> None:
+        if not done.cancelled() and done.exception() is not None:
+            for pending in futures:
+                pending.cancel()
+
+    for future in futures:
+        future.add_done_callback(cancel_rest)
+    wait(futures)
+    for future in futures:  # a shard's own failure outranks cancellations
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]
 
 
 def _shutdown_executor(executor: Executor) -> None:

@@ -101,6 +101,42 @@ class FlakyInjector:
             )
 
 
+class BlockingInjector:
+    """Duck-typed fault injector that parks the first matching checkpoint
+    after being armed until ``release`` is set."""
+
+    def __init__(self, match: str = "GSim+ iteration") -> None:
+        self.match = match
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def on_checkpoint(self, what: str = "computation") -> None:
+        if self.armed and self.match in what:
+            self.armed = False
+            self.entered.set()
+            assert self.release.wait(30)
+
+
+class BuildLockProbe:
+    """Stands in for a manager's build lock (wrapping the same lock) and
+    flags the first caller that has to wait for it."""
+
+    def __init__(self, manager: IndexGenerationManager) -> None:
+        self._lock = manager._build_lock
+        self.contended = threading.Event()
+        manager._build_lock = self
+
+    def __enter__(self) -> "BuildLockProbe":
+        if not self._lock.acquire(blocking=False):
+            self.contended.set()
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
 # ----------------------------------------------------------------------
 # Serving policies & staleness budgets
 # ----------------------------------------------------------------------
@@ -581,9 +617,12 @@ class TestManagerFailures:
             health = manager.health()
             assert health["live_generation"] == 1
             assert health["last_failure"] is not None
-            # recovery: the next forced rebuild succeeds and goes fresh
-            injector.active = False
-            second = manager.rebuild_now()
+            # recovery: the next forced rebuild succeeds and goes fresh.
+            # Quiesced, no background retry can install a generation of
+            # its own between the fault clearing and the forced rebuild.
+            with manager.quiesced():
+                injector.active = False
+                second = manager.rebuild_now()
             assert second.ordinal == 2
             assert not manager.is_stale
             assert manager.health()["last_failure"] is None
@@ -652,6 +691,89 @@ class TestManagerFailures:
             assert generation.ordinal == 2
             assert manager.health()["breaker"] == "closed"
             assert not manager.health()["degraded"]
+
+
+# ----------------------------------------------------------------------
+# Forced rebuilds against background rebuilds
+# ----------------------------------------------------------------------
+class TestForcedRebuildCoalescing:
+    """``rebuild_now`` against a background rebuild already in flight.
+
+    The background build is parked inside its solver by a
+    :class:`BlockingInjector`; it is released only once the forced
+    caller is waiting on the build lock, i.e. after the call began.
+    """
+
+    @staticmethod
+    def _hold(manager: IndexGenerationManager, hold: threading.Event) -> None:
+        with manager.quiesced():
+            hold.wait(30)
+
+    @staticmethod
+    def _forced_rebuild_during_background(write_before_call: bool):
+        graph_a, graph_b = _dynamic_pair()
+        injector = BlockingInjector()
+        metrics = Metrics()
+        rng = np.random.default_rng(31)
+        with IndexGenerationManager(
+            graph_a,
+            graph_b,
+            iterations=ITERATIONS,
+            context=ExecutionContext(metrics=metrics),
+            rebuild_fault_injector=injector,
+        ) as manager:
+            manager.warm()
+            injector.armed = True
+            graph_a.add_edge(*_fresh_edge(graph_a, rng))
+            manager.request_rebuild()
+            assert injector.entered.wait(30)  # background build in flight
+            hold = threading.Event()
+            if write_before_call:
+                # Lands after the background build froze its snapshot.
+                graph_a.add_edge(*_fresh_edge(graph_a, rng))
+                # Keep the worker from starting a second cycle for the
+                # new versions, so the forced call must build them.
+                threading.Thread(
+                    target=TestForcedRebuildCoalescing._hold, args=(manager, hold)
+                ).start()
+                while not manager._quiesced:
+                    time.sleep(0.001)
+            versions = (graph_a.version, graph_b.version)
+            probe = BuildLockProbe(manager)
+            outcome = {}
+            caller = threading.Thread(
+                target=lambda: outcome.update(generation=manager.rebuild_now())
+            )
+            caller.start()
+            assert probe.contended.wait(30)
+            injector.release.set()
+            caller.join(30)
+            hold.set()
+            assert not caller.is_alive()
+            counters = metrics.snapshot()["counters"]
+            return outcome["generation"], versions, manager.health(), counters
+
+    def test_rebuild_now_returns_the_in_flight_build(self):
+        generation, versions, health, counters = (
+            self._forced_rebuild_during_background(write_before_call=False)
+        )
+        assert generation.ordinal == 2
+        assert generation.versions == versions
+        assert health["generations_built"] == 2
+        assert health["live_generation"] == 2
+        assert counters["lifecycle.rebuilds_coalesced"] == 1
+
+    def test_rebuild_now_builds_versions_the_in_flight_build_lacks(self):
+        generation, versions, health, counters = (
+            self._forced_rebuild_during_background(write_before_call=True)
+        )
+        # The background build installs generation 2 for the older
+        # versions; the forced call needs a generation of its own.
+        assert generation.ordinal == 3
+        assert generation.versions == versions
+        assert health["generations_built"] == 3
+        assert health["live_generation"] == 3
+        assert "lifecycle.rebuilds_coalesced" not in counters
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,15 @@ step with pinned BLAS thread counts.  The load-bearing claims:
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
+
+import _repro_blas_pin
 
 from repro.core.batch import BatchQueryEngine
 from repro.core.embeddings import LowRankFactors
@@ -114,6 +119,18 @@ class TestWorkerPool:
         pool = WorkerPool(max_workers=2)
         assert WorkerPool.resolve(pool) is pool
 
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for name in _repro_blas_pin.BLAS_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # unprobed
+        assert WorkerPool().max_workers == 1
+        assert _repro_blas_pin.effective_blas_threads() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert WorkerPool().max_workers == 8
+        assert _repro_blas_pin.effective_blas_threads() == 8
+
     def test_rejects_bad_worker_counts(self):
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
@@ -138,6 +155,28 @@ class TestWorkerPool:
 
         with pytest.raises(KeyError):
             WorkerPool(max_workers=4).map(maybe_boom, range(8))
+
+    def test_failure_cancels_queued_shards_while_earlier_shard_runs(self):
+        # Shard 0 is still running when shard 1 fails: the queued shards
+        # must not start, although shard 1's error is not yet reached in
+        # submission order.
+        failing = threading.Event()
+        ran = []
+
+        def shard(x):
+            ran.append(x)
+            if x == 0:
+                assert failing.wait(10)
+                time.sleep(0.2)  # let the failure's cancellations land
+                return x
+            if x == 1:
+                failing.set()
+                raise KeyError("one")
+            return x
+
+        with pytest.raises(KeyError):
+            WorkerPool(max_workers=2).map(shard, range(8))
+        assert sorted(ran) == [0, 1]
 
     def test_serial_runs_inline(self):
         thread_ids = []

@@ -33,6 +33,7 @@ from repro.runtime import (
     Metrics,
     WallClockDeadline,
 )
+from repro.runtime.metrics import SERIES_CAPACITY
 from repro.utils.validation import resolve_node_index
 
 
@@ -83,6 +84,19 @@ class TestMetrics:
         for value in (1, 2, 4, 8):
             metrics.observe("width", value)
         assert metrics.series("width") == [1, 2, 4, 8]
+
+    def test_series_keep_only_the_newest_values(self):
+        metrics = Metrics()
+        for value in range(10_000):
+            metrics.observe("width", value)
+        kept = metrics.series("width")
+        assert len(kept) <= SERIES_CAPACITY
+        assert kept == list(range(10_000 - len(kept), 10_000))
+        merged = Metrics()
+        merged.merge_snapshot(metrics.snapshot())
+        merged.merge_snapshot(metrics.snapshot())
+        assert len(merged.series("width")) <= SERIES_CAPACITY
+        assert merged.series("width")[-1] == 9_999
 
     def test_snapshot_is_a_deep_copy(self):
         metrics = Metrics()
@@ -280,6 +294,23 @@ class TestGSimPlusUnderContext:
         roomy = ExecutionContext.start(memory_limit_bytes=1400)
         result = gsim_plus(a, b, iterations=3, rank_cap="none", context=roomy)
         assert result.final_width == 8
+
+    def test_dense_fallback_charges_every_step_buffer(self, monkeypatch):
+        # A dense step holds the iterate plus Z^T, P, Q and the update:
+        # 5*12*8*8 = 3840 B.  A 2000 B ceiling admits the factored steps
+        # (peak 1280 B) and a two-buffer charge (1536 B) but not that
+        # working set, so the hand-over fails before any dense step runs.
+        def no_dense_step(*args, **kwargs):
+            raise AssertionError("dense step ran past its ledger charge")
+
+        monkeypatch.setattr(GSimPlus, "_step_dense", no_dense_step)
+        a, b = _ring(12, seed=1), _ring(8, seed=2)
+        context = ExecutionContext.start(memory_limit_bytes=2000)
+        with pytest.raises(MemoryBudgetExceeded, match="dense rank-cap") as excinfo:
+            gsim_plus(a, b, iterations=6, rank_cap="dense", context=context)
+        assert excinfo.value.metrics["counters"]["gsim_plus.iterations"] == 3
+        assert context.memory is not None
+        assert context.memory.held_bytes == 0
 
     def test_cancellation_stops_iteration(self):
         a, b = _ring(12, seed=1), _ring(8, seed=2)

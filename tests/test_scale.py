@@ -17,12 +17,13 @@ The load-bearing claims, mirroring the parallel suite's contract:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.embeddings import LowRankFactors
-from repro.core.gsim_plus import gsim_plus
+from repro.core.gsim_plus import GSimPlus, gsim_plus
 from repro.core.topk import top_k_for_queries, top_k_pairs
 from repro.graphs import MmapCSRGraph, convert_edge_list, read_edge_list
 from repro.runtime import (
@@ -292,6 +293,106 @@ def test_top_k_for_queries_backend_bit_identity(graph_pairs, pools):
         max_workers=pools[("process", 2)],
     )
     assert mmap_got == reference
+
+
+_PARITY_COUNTERS = (
+    "topk.rows_scanned",
+    "topk.blocks_scanned",
+    "parallel.shards",
+    "gsim_plus.spmm",
+    "gsim_plus.shard_cache_hits",
+)
+
+
+def _counters(run, graphs, pool):
+    context = ExecutionContext()
+    run(graphs, pool, context)
+    counters = context.metrics.snapshot()["counters"]
+    return {name: counters.get(name) for name in _PARITY_COUNTERS}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, pool, context: top_k_pairs(
+            g["a"], g["b"], k=25, iterations=6, block_rows=7,
+            max_workers=pool, context=context,
+        ),
+        lambda g, pool, context: top_k_for_queries(
+            g["a"], g["b"], [0, 5, 5, 17, 3, 59, 28], k=7, iterations=6,
+            block_rows=2, max_workers=pool, context=context,
+        ),
+        lambda g, pool, context: gsim_plus(
+            g["a"], g["b"], iterations=8, max_workers=pool, context=context
+        ),
+    ],
+    ids=["top_k_pairs", "top_k_for_queries", "gsim_plus"],
+)
+def test_counters_identical_across_backends(graph_pairs, pools, run):
+    mem, _ = graph_pairs
+    serial = _counters(run, mem, pools[("thread", 1)])
+    for workers in WORKER_COUNTS[1:]:
+        thread = _counters(run, mem, pools[("thread", workers)])
+        process = _counters(run, mem, pools[("process", workers)])
+        assert thread == process, workers
+        for name in ("topk.rows_scanned", "topk.blocks_scanned"):
+            assert thread[name] == serial[name], (workers, name)
+
+
+# ---------------------------------------------------------------------------
+# operand placement (the process workspace)
+# ---------------------------------------------------------------------------
+
+
+def _scratch_files(solver):
+    scratch = solver._ws._scratch
+    return sorted(p.name for p in Path(scratch.name).iterdir()) if scratch else []
+
+
+def test_process_steps_map_graphs_and_keep_two_generations(graph_pairs, pools):
+    mem, mm = graph_pairs
+    solver = GSimPlus(
+        mm["a"], mm["b"], rank_cap="none", max_workers=pools[("process", 2)]
+    )
+    reference = GSimPlus(mem["a"], mem["b"], rank_cap="none")
+    for state, expected in zip(solver.iterate(5), reference.iterate(5)):
+        assert np.array_equal(state.factors.u, expected.factors.u)
+        assert np.array_equal(state.factors.v, expected.factors.v)
+        files = _scratch_files(solver)
+        if state.k == 0:
+            assert files == []
+            continue
+        # Only this generation's two outputs remain: the float64 mapped
+        # graphs were never spilled, the previous generation was unlinked,
+        # and step k read step k-1's output in place (no input spill).
+        assert len(files) == 2 and all(f.startswith("output") for f in files)
+        # Healing and rescaling ran in place on the mapped output.
+        for factor in (state.factors.u, state.factors.v):
+            assert isinstance(factor.base, np.memmap)
+            assert Path(factor.base.filename).name in files
+
+    def paths(ref):
+        parts = (ref.indptr, ref.indices, ref.data)
+        return {str(Path(part.path).resolve()) for part in parts}
+
+    # Every CSR operand shipped the mapped graph's own artifact files.
+    shipped = set().union(*(paths(ref) for ref in solver._ws._csr_refs.values()))
+    on_disk = set().union(
+        *(paths(g.csr_ref(w)) for g in (mm["a"], mm["b"]) for w in ("adj", "adj_t"))
+    )
+    assert shipped == on_disk
+
+
+def test_in_process_shards_cut_once_and_serial_uncut(graph_pairs):
+    mem, _ = graph_pairs
+    matrix = mem["a"].adjacency
+    serial = WorkerPool(max_workers=1).workspace()
+    ((start, stop, (rows,)),) = serial.row_shards(matrix)
+    assert (start, stop) == (0, matrix.shape[0]) and rows is matrix
+    threaded = WorkerPool(max_workers=4).workspace()
+    shards = threaded.row_shards(matrix)
+    assert len(shards) > 1 and threaded.row_shards(matrix) is shards
+    assert threaded.stage(matrix.data) is matrix.data
 
 
 # ---------------------------------------------------------------------------
