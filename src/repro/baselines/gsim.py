@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.utils.deadline import WallClockDeadline
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_nonnegative_integer
 
@@ -78,7 +77,6 @@ def gsim(
     graph_b: Graph,
     iterations: int = 10,
     keep_history: bool = False,
-    deadline: WallClockDeadline | None = None,
     initial: np.ndarray | None = None,
     context: ExecutionContext | None = None,
 ) -> GSimResult:
@@ -95,6 +93,10 @@ def gsim(
     initial:
         Custom dense ``S_0`` (the content-based adaptation); defaults to
         the all-ones matrix of Eq.(2).
+    context:
+        Optional :class:`repro.runtime.ExecutionContext`: checkpointed
+        every iteration (deadline, cancellation) and charged the dense
+        working set up front.
 
     Examples
     --------
@@ -117,27 +119,21 @@ def gsim(
         similarity = similarity.copy()
     similarity = _normalize(similarity)
     history: list[np.ndarray] | None = [] if keep_history else None
-    charged = 0
-    if context is not None:
-        # Working set per step: the iterate plus two same-sized temporaries
-        # (matching the 3x factor of the predictive cost model).
-        charged = 3 * dense_matrix_bytes(graph_a.num_nodes, graph_b.num_nodes)
-        context.charge(charged, "GSim dense iterate")
+    context = context or NULL_CONTEXT
+    # Working set per step: the iterate plus two same-sized temporaries
+    # (matching the 3x factor of the predictive cost model).
+    charged = 3 * dense_matrix_bytes(graph_a.num_nodes, graph_b.num_nodes)
+    context.charge(charged, "GSim dense iterate")
     try:
         for k in range(iterations):
-            if context is not None:
-                context.checkpoint(f"GSim iteration {k + 1}")
-            if deadline is not None:
-                deadline.check("GSim iteration")
+            context.checkpoint(f"GSim iteration {k + 1}")
             similarity = _normalize(_step(graph_a, graph_b, similarity))
-            if context is not None:
-                context.metrics.increment("gsim.iterations")
-                context.metrics.increment("gsim.spmm", 4)
+            context.metrics.increment("gsim.iterations")
+            context.metrics.increment("gsim.spmm", 4)
             if history is not None:
                 history.append(similarity.copy())
     finally:
-        if context is not None and charged:
-            context.release(charged)
+        context.release(charged)
     return GSimResult(similarity=similarity, iterations=iterations, iterates=history)
 
 
@@ -147,7 +143,6 @@ def gsim_partial(
     queries_a: np.ndarray | list[int],
     queries_b: np.ndarray | list[int],
     iterations: int = 10,
-    deadline: WallClockDeadline | None = None,
     context: ExecutionContext | None = None,
 ) -> GSimResult:
     """Eq.(5): partial-pair GSim, normalised over the query block.
@@ -165,26 +160,20 @@ def gsim_partial(
     cols = np.asarray(queries_b, dtype=np.int64)
     similarity = np.ones((graph_a.num_nodes, graph_b.num_nodes))
     similarity = _normalize(similarity)
-    charged = 0
-    if context is not None:
-        charged = 3 * dense_matrix_bytes(graph_a.num_nodes, graph_b.num_nodes)
-        context.charge(charged, "GSim dense iterate")
+    context = context or NULL_CONTEXT
+    charged = 3 * dense_matrix_bytes(graph_a.num_nodes, graph_b.num_nodes)
+    context.charge(charged, "GSim dense iterate")
     try:
         # Iterate the full matrix K-1 times...
         for k in range(iterations - 1):
-            if context is not None:
-                context.checkpoint(f"GSim iteration {k + 1}")
-            if deadline is not None:
-                deadline.check("GSim iteration")
+            context.checkpoint(f"GSim iteration {k + 1}")
             similarity = _normalize(_step(graph_a, graph_b, similarity))
-            if context is not None:
-                context.metrics.increment("gsim.iterations")
-                context.metrics.increment("gsim.spmm", 4)
-        # ...then restrict the final update to the query rows/cols (Eq. 5).
-        if context is not None:
-            context.checkpoint("GSim partial final step")
             context.metrics.increment("gsim.iterations")
             context.metrics.increment("gsim.spmm", 4)
+        # ...then restrict the final update to the query rows/cols (Eq. 5).
+        context.checkpoint("GSim partial final step")
+        context.metrics.increment("gsim.iterations")
+        context.metrics.increment("gsim.spmm", 4)
         a_rows = graph_a.adjacency[rows]
         a_t_rows = graph_a.adjacency_t[rows]
         b_cols = graph_b.adjacency[cols]
@@ -193,6 +182,5 @@ def gsim_partial(
             b_t_cols @ (a_t_rows @ similarity).T
         ).T
     finally:
-        if context is not None and charged:
-            context.release(charged)
+        context.release(charged)
     return GSimResult(similarity=_normalize(block), iterations=iterations)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.utils.validation import check_nonnegative_integer, check_positive_integer
 
 __all__ = ["GSVDResult", "gsvd"]
@@ -119,9 +119,9 @@ def gsvd(
     history: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = (
         [] if keep_history else None
     )
+    context = context or NULL_CONTEXT
     for step in range(iterations):
-        if context is not None:
-            context.checkpoint(f"GSVD iteration {step + 1}")
+        context.checkpoint(f"GSVD iteration {step + 1}")
         scaled_u = u * sigma  # n_A x r, absorbs Σ as in Eq.(3).
         left_block = np.hstack([a @ scaled_u, a_t @ scaled_u])  # n_A x 2r
         right_block = np.hstack([b @ v, b_t @ v])  # n_B x 2r
@@ -144,10 +144,9 @@ def gsvd(
         if norm == 0.0:
             raise ZeroDivisionError("GSVD iterate collapsed to zero")
         sigma = sigma / norm
-        if context is not None:
-            context.metrics.increment("gsvd.iterations")
-            context.metrics.increment("gsvd.spmm", 4)
-            context.metrics.increment("gsvd.qr", 2)
+        context.metrics.increment("gsvd.iterations")
+        context.metrics.increment("gsvd.spmm", 4)
+        context.metrics.increment("gsvd.qr", 2)
         if history is not None:
             history.append((u.copy(), sigma.copy(), v.copy()))
     return GSVDResult(

@@ -35,8 +35,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.utils.deadline import WallClockDeadline
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.utils.validation import (
     check_nonnegative_integer,
     check_probability,
@@ -105,7 +104,6 @@ def rolesim(
     beta: float = 0.15,
     matching: str = "greedy",
     iceberg_threshold: float | None = None,
-    deadline: WallClockDeadline | None = None,
     context: ExecutionContext | None = None,
 ) -> RoleSimResult:
     """All-pairs RoleSim on one (undirected-ised) graph.
@@ -122,6 +120,10 @@ def rolesim(
     iceberg_threshold:
         If set, pairs below the threshold are frozen at ``beta`` after the
         first iteration (IcebergRoleSim pruning).
+    context:
+        Optional :class:`repro.runtime.ExecutionContext`: checkpointed
+        every 64 rows (deadline, cancellation) and charged the two
+        all-pairs matrices up front.
 
     Examples
     --------
@@ -149,20 +151,16 @@ def rolesim(
     active = np.ones((n, n), dtype=bool)
     np.fill_diagonal(active, False)  # diagonal stays exactly 1.
 
-    charged = 0
-    if context is not None:
-        # Working set: the current iterate plus its updated copy.
-        charged = 2 * n * n * 8
-        context.charge(charged, "RoleSim all-pairs matrices")
+    context = context or NULL_CONTEXT
+    # Working set: the current iterate plus its updated copy.
+    charged = 2 * n * n * 8
+    context.charge(charged, "RoleSim all-pairs matrices")
     try:
         for _ in range(iterations):
             updated = similarity.copy()
             for u in range(n):
                 if u % 64 == 0:
-                    if context is not None:
-                        context.checkpoint("RoleSim pair updates")
-                    if deadline is not None:
-                        deadline.check("RoleSim pair updates")
+                    context.checkpoint("RoleSim pair updates")
                 nbrs_u = neighbours[u]
                 row_updates = 0
                 for v in range(u + 1, n):
@@ -179,19 +177,17 @@ def rolesim(
                     updated[u, v] = value
                     updated[v, u] = value
                     row_updates += 1
-                if context is not None and row_updates:
+                if row_updates:
                     context.metrics.increment("rolesim.pair_updates", row_updates)
             similarity = updated
-            if context is not None:
-                context.metrics.increment("rolesim.iterations")
+            context.metrics.increment("rolesim.iterations")
             if iceberg_threshold is not None:
                 below = similarity < iceberg_threshold
                 below &= active
                 similarity[below] = beta
                 active[below] = False
     finally:
-        if context is not None and charged:
-            context.release(charged)
+        context.release(charged)
     np.fill_diagonal(similarity, 1.0)
     return RoleSimResult(similarity=similarity, iterations=iterations)
 
@@ -204,7 +200,6 @@ def rolesim_query(
     iterations: int = 5,
     beta: float = 0.15,
     matching: str = "greedy",
-    deadline: WallClockDeadline | None = None,
     context: ExecutionContext | None = None,
 ) -> np.ndarray:
     """Cross-graph RoleSim block via the disjoint union ``G_A ∪ G_B``.
@@ -227,7 +222,6 @@ def rolesim_query(
         iterations=iterations,
         beta=beta,
         matching=matching,
-        deadline=deadline,
         context=context,
     )
     return result.similarity[np.ix_(rows, cols)]

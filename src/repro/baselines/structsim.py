@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
-from repro.utils.deadline import WallClockDeadline
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.utils.validation import check_nonnegative_integer
 
 __all__ = ["StructSimIndex", "structsim_query"]
@@ -133,7 +132,6 @@ def structsim_query(
     max_bins: int = 32,
     index_a: StructSimIndex | None = None,
     index_b: StructSimIndex | None = None,
-    deadline: WallClockDeadline | None = None,
     context: ExecutionContext | None = None,
 ) -> np.ndarray:
     """SS-BC* similarity block: one single-pair query per ``(a, b)`` pair.
@@ -141,7 +139,8 @@ def structsim_query(
     Pre-built indexes may be passed to amortise construction across calls
     (the paper's SS-BC* also builds its index once); the query loop itself
     is intentionally pair-at-a-time, reproducing the repeated-execution
-    behaviour the paper criticises.
+    behaviour the paper criticises.  The optional ``context`` is
+    checkpointed once per query row.
     """
     rows = np.asarray(queries_a, dtype=np.int64)
     cols = np.asarray(queries_b, dtype=np.int64)
@@ -149,14 +148,11 @@ def structsim_query(
         index_a = StructSimIndex(graph_a, levels=levels, max_bins=max_bins)
     if index_b is None:
         index_b = StructSimIndex(graph_b, levels=levels, max_bins=max_bins)
+    context = context or NULL_CONTEXT
     block = np.empty((rows.size, cols.size))
     for i, node_a in enumerate(rows):
-        if context is not None:
-            context.checkpoint("SS-BC* pair queries")
-        if deadline is not None:
-            deadline.check("SS-BC* pair queries")
+        context.checkpoint("SS-BC* pair queries")
         for j, node_b in enumerate(cols):
             block[i, j] = index_a.pair_similarity(index_b, int(node_a), int(node_b))
-        if context is not None:
-            context.metrics.increment("structsim.pairs", cols.size)
+        context.metrics.increment("structsim.pairs", cols.size)
     return block

@@ -57,10 +57,10 @@ from repro.experiments.figures import (
     fig7_memory_vs_k,
     fig8_memory_vs_queries,
 )
-from repro.experiments.guards import Deadline, MemoryBudget
 from repro.experiments.report import render_records
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.tables import accuracy_table, render_accuracy_table
+from repro.runtime import Deadline, MemoryBudget
 
 __all__ = ["main"]
 

@@ -11,7 +11,7 @@ with:
   under a hard memory bound, for exhaustive consumers (exports, rank
   scans) that must never materialise ``n_A x n_B``.
 
-Both entry points accept an optional
+Every entry point accepts an optional
 :class:`repro.runtime.ExecutionContext`: each served block is a
 checkpoint (deadline/cancellation polled, block bytes charged against the
 live memory budget) and block counts land in ``context.metrics`` under
@@ -27,9 +27,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.embeddings import LowRankFactors
-from repro.runtime import ExecutionContext
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.runtime.parallel import WorkerPool
-from repro.runtime.trace import NULL_TRACER
 from repro.utils.validation import check_positive_integer
 
 __all__ = ["BatchQueryEngine"]
@@ -85,11 +84,10 @@ class BatchQueryEngine:
         context: ExecutionContext | None = None,
     ) -> np.ndarray:
         """One normalised query block."""
-        if context is not None:
-            context.checkpoint("batch query block")
-        tracer = context.tracer if context is not None else NULL_TRACER
+        context = context or NULL_CONTEXT
+        context.checkpoint("batch query block")
         start = time.perf_counter()
-        with tracer.span("batch.query_block") as span:
+        with context.tracer.span("batch.query_block") as span:
             block = self._factors.query_block(
                 queries_a, queries_b, include_scale=False
             )
@@ -100,17 +98,16 @@ class BatchQueryEngine:
                     raise ZeroDivisionError("query block has zero norm")
             else:
                 denominator = self._global_norm
-            if context is not None:
-                context.metrics.increment("batch.blocks_served")
-                context.metrics.increment("batch.cells_served", block.size)
-                if context.slow_queries is not None:
-                    context.slow_queries.maybe_record(
-                        "batch.query_block",
-                        time.perf_counter() - start,
-                        cells=int(block.size),
-                        width=self._factors.width,
-                        span_id=getattr(span, "span_id", None),
-                    )
+            context.metrics.increment("batch.blocks_served")
+            context.metrics.increment("batch.cells_served", block.size)
+            if context.slow_queries is not None:
+                context.slow_queries.maybe_record(
+                    "batch.query_block",
+                    time.perf_counter() - start,
+                    cells=int(block.size),
+                    width=self._factors.width,
+                    span_id=getattr(span, "span_id", None),
+                )
             return block / denominator
 
     def query_many(
@@ -132,6 +129,7 @@ class BatchQueryEngine:
         if isinstance(max_workers, int) and max_workers < 1:
             max_workers = 1  # historical "0 means serial" tolerance
         pool = WorkerPool.resolve(max_workers)
+        context = context or NULL_CONTEXT
         return pool.map(
             lambda request: self.query(request[0], request[1], context=context),
             request_list,
@@ -146,31 +144,31 @@ class BatchQueryEngine:
     ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(start_row, normalised_block)`` covering every row.
 
-        Peak memory is ``O(block_rows * n_B)``; global normalisation is
-        used so concatenating the blocks reproduces the full matrix.  With
-        a context, every block is a checkpoint and its bytes are charged
+        Peak memory is ``O(block_rows * n_B)``: one block is live at a
+        time and it is normalised in place.  Global normalisation is used
+        so concatenating the blocks reproduces the full matrix.  Every
+        block is a checkpoint of ``context``, and its bytes are charged
         against the live memory budget while it is the current block.
         """
         block_rows = check_positive_integer(block_rows, "block_rows")
+        context = context or NULL_CONTEXT
         n_rows, n_cols = self._factors.shape
+        itemsize = self._factors.dtype.itemsize
         v_t = self._factors.v.T
         charged = 0
         try:
             for start in range(0, n_rows, block_rows):
                 stop = min(start + block_rows, n_rows)
-                if context is not None:
-                    context.checkpoint(f"stream_rows block at row {start}")
-                    context.release(charged)
-                    charged = 0
-                    itemsize = self._factors.dtype.itemsize
-                    block_bytes = (stop - start) * n_cols * itemsize
-                    context.charge(block_bytes, "stream_rows block")
-                    charged = block_bytes
-                block = (self._factors.u[start:stop] @ v_t) / self._global_norm
-                if context is not None:
-                    context.metrics.increment("batch.blocks_served")
-                    context.metrics.increment("batch.rows_streamed", stop - start)
+                context.checkpoint(f"stream_rows block at row {start}")
+                context.release(charged)
+                charged = 0
+                block_bytes = (stop - start) * n_cols * itemsize
+                context.charge(block_bytes, "stream_rows block")
+                charged = block_bytes
+                block = self._factors.u[start:stop] @ v_t
+                block /= self._global_norm
+                context.metrics.increment("batch.blocks_served")
+                context.metrics.increment("batch.rows_streamed", stop - start)
                 yield start, block
         finally:
-            if context is not None and charged:
-                context.release(charged)
+            context.release(charged)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext
+from repro.runtime import NULL_CONTEXT, ExecutionContext
 from repro.utils.validation import check_positive_integer
 
 __all__ = ["ConvergenceReport", "iterate_to_convergence"]
@@ -75,6 +75,7 @@ def iterate_to_convergence(
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     max_iterations = check_positive_integer(max_iterations, "max_iterations")
+    context = context or NULL_CONTEXT
 
     solver = GSimPlus(graph_a, graph_b, rank_cap=rank_cap)
     residuals: list[float] = []

@@ -85,10 +85,9 @@ import scipy.sparse as sp
 
 from repro.core.embeddings import LowRankFactors, TruncationInfo
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext, kernels
+from repro.runtime import NULL_CONTEXT, ExecutionContext, kernels
 from repro.runtime.parallel import WorkerPool
 from repro.runtime.resilience import Checkpoint, CheckpointManager
-from repro.runtime.trace import NULL_TRACER
 from repro.utils.memory import dense_matrix_bytes
 from repro.utils.validation import check_nonnegative_integer, resolve_node_index
 
@@ -332,9 +331,7 @@ class GSimPlus:
     # ------------------------------------------------------------------
     # Iteration core
     # ------------------------------------------------------------------
-    def _healed(
-        self, array: np.ndarray, context: ExecutionContext | None
-    ) -> np.ndarray:
+    def _healed(self, array: np.ndarray, context: ExecutionContext) -> np.ndarray:
         """Repair non-finite entries in an iteration update (in place).
 
         NaNs become 0; ±inf is clamped to the largest finite magnitude
@@ -352,15 +349,14 @@ class GSimPlus:
         if cap == 0.0:
             cap = 1.0
         np.nan_to_num(array, copy=False, nan=0.0, posinf=cap, neginf=-cap)
-        if context is not None:
-            context.metrics.increment("gsim_plus.nonfinite_repairs", repaired)
-            context.tracer.event(
-                "gsim_plus.nonfinite_repair", severity="warning", repaired=repaired
-            )
+        context.metrics.increment("gsim_plus.nonfinite_repairs", repaired)
+        context.tracer.event(
+            "gsim_plus.nonfinite_repair", severity="warning", repaired=repaired
+        )
         return array
 
     def _step_factors(
-        self, factors: LowRankFactors, context: ExecutionContext | None = None
+        self, factors: LowRankFactors, context: ExecutionContext
     ) -> LowRankFactors:
         """One Eq.(8)/(9) doubling step in factored form (lines 3-5).
 
@@ -388,9 +384,8 @@ class GSimPlus:
         self._pool.map(
             kernels.spmm_into, tasks, context=context, what="GSim+ SpMM shards"
         )
-        if context is not None:
-            context.metrics.increment("gsim_plus.shard_cache_hits", 4)
-            context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
+        context.metrics.increment("gsim_plus.shard_cache_hits", 4)
+        context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
         if self.numeric_guard:
             self._healed(new_u, context)
             self._healed(new_v, context)
@@ -422,7 +417,7 @@ class GSimPlus:
         self,
         factors: LowRankFactors,
         k: int,
-        context: ExecutionContext | None,
+        context: ExecutionContext,
     ) -> LowRankFactors:
         """Rank-bound the stepped factors at :attr:`recompress_tol`.
 
@@ -436,35 +431,30 @@ class GSimPlus:
         assert self.recompress_tol is not None
         width = factors.width
         workspace = factors.nbytes + 3 * width * width * factors.dtype.itemsize
-        if context is not None:
-            context.charge(workspace, f"GSim+ recompression (k={k})")
+        context.charge(workspace, f"GSim+ recompression (k={k})")
         try:
             compact = factors.recompressed(self.recompress_tol)
         finally:
-            if context is not None:
-                context.release(workspace)
+            context.release(workspace)
         info = compact.truncation
         assert info is not None
-        if context is not None:
-            context.metrics.increment("gsim_plus.recompressions")
-            context.metrics.observe(
-                "gsim_plus.recompress_rank", info.retained_rank
-            )
-            context.metrics.set_gauge(
-                "gsim_plus.recompress_discarded_energy", info.discarded_energy
-            )
-            context.tracer.event(
-                "gsim_plus.recompress",
-                severity="info",
-                k=k,
-                width_before=width,
-                retained_rank=info.retained_rank,
-                discarded_energy=info.discarded_energy,
-            )
+        context.metrics.increment("gsim_plus.recompressions")
+        context.metrics.observe("gsim_plus.recompress_rank", info.retained_rank)
+        context.metrics.set_gauge(
+            "gsim_plus.recompress_discarded_energy", info.discarded_energy
+        )
+        context.tracer.event(
+            "gsim_plus.recompress",
+            severity="info",
+            k=k,
+            width_before=width,
+            retained_rank=info.retained_rank,
+            discarded_energy=info.discarded_energy,
+        )
         return compact
 
     def _step_dense(
-        self, z: np.ndarray, context: ExecutionContext | None = None
+        self, z: np.ndarray, context: ExecutionContext
     ) -> tuple[np.ndarray, float]:
         """One Eq.(6a) step on a dense Z, renormalised to unit Frobenius.
 
@@ -501,9 +491,8 @@ class GSimPlus:
         # this step outlives it.
         del z_t, p, q
         ws.release()
-        if context is not None:
-            context.metrics.increment("gsim_plus.shard_cache_hits", 3)
-            context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
+        context.metrics.increment("gsim_plus.shard_cache_hits", 3)
+        context.metrics.increment("gsim_plus.transpose_cache_hits", 2)
         if self.numeric_guard:
             updated = self._healed(updated, context)
         with np.errstate(over="ignore"):
@@ -517,8 +506,7 @@ class GSimPlus:
             updated = updated / amax
             log_shift = float(np.log(amax))
             norm = float(np.linalg.norm(updated))
-            if context is not None:
-                context.metrics.increment("gsim_plus.norm_rescales")
+            context.metrics.increment("gsim_plus.norm_rescales")
         if norm == 0.0:
             raise ZeroDivisionError(
                 "similarity iterate collapsed to zero (disconnected inputs?)"
@@ -528,7 +516,7 @@ class GSimPlus:
     def iterate(
         self,
         iterations: int,
-        context: ExecutionContext | None = None,
+        context: ExecutionContext = NULL_CONTEXT,
         checkpoints: CheckpointManager | str | Path | None = None,
         checkpoint_every: int = 1,
         resume_from: CheckpointManager | str | Path | None = None,
@@ -539,13 +527,13 @@ class GSimPlus:
         (accuracy table, convergence driver) read
         :meth:`_IterationState.similarity_matrix` per step.
 
-        With an :class:`repro.runtime.ExecutionContext`, every iteration is
-        a checkpoint: the deadline and cancellation token are polled, the
-        working set (factor arrays, or the dense iterate plus one dense
-        step's buffers once the rank-cap fallback engages) is charged against
-        the live memory budget *before* it is allocated, and the per-step
-        width / spmm counts land in ``context.metrics`` under
-        ``gsim_plus.*``.  Without a context, behaviour is unchanged.
+        Every iteration is a checkpoint of ``context``: the deadline and
+        cancellation token are polled, the working set (factor arrays, or
+        the dense iterate plus one dense step's buffers once the rank-cap
+        fallback engages) is charged against the live memory budget
+        *before* it is allocated, and the per-step width / spmm counts
+        land in ``context.metrics`` under ``gsim_plus.*``.  The default
+        :data:`repro.runtime.NULL_CONTEXT` enforces and records nothing.
 
         With a :class:`repro.runtime.Tracer` on the context, every
         iteration additionally records a ``gsim_plus.iterate`` span
@@ -613,20 +601,18 @@ class GSimPlus:
                     float(snapshot.meta["log_scale"]),
                     truncation=truncation,
                 )
-            if context is not None:
-                context.metrics.increment("gsim_plus.resumed")
-                context.metrics.set_gauge("gsim_plus.resume_iteration", start_k)
-                context.tracer.event(
-                    "gsim_plus.resumed", severity="info", iteration=start_k
-                )
+            context.metrics.increment("gsim_plus.resumed")
+            context.metrics.set_gauge("gsim_plus.resume_iteration", start_k)
+            context.tracer.event(
+                "gsim_plus.resumed", severity="info", iteration=start_k
+            )
         charged = 0
-        tracer = context.tracer if context is not None else NULL_TRACER
+        tracer = context.tracer
 
         def _account(num_bytes: int, what: str) -> None:
             # Swap the charged working set: release the previous charge,
             # then charge the new one (so a breach leaves nothing held).
             nonlocal charged
-            assert context is not None
             context.release(charged)
             charged = 0
             context.charge(num_bytes, what)
@@ -644,24 +630,21 @@ class GSimPlus:
                 if factors.truncation is not None:
                     meta["truncation"] = factors.truncation.to_dict()
                 manager.save(k, {"u": factors.u, "v": factors.v}, meta=meta)
-            if context is not None:
-                context.metrics.increment("gsim_plus.checkpoints_written")
+            context.metrics.increment("gsim_plus.checkpoints_written")
 
         try:
-            if context is not None:
-                if factors is not None:
-                    _account(factors.resident_nbytes, "GSim+ initial factors")
-                    context.metrics.observe("gsim_plus.width", factors.width)
-                else:
-                    _account(
-                        self._dense_fallback_charge(),
-                        "GSim+ dense rank-cap fallback (resumed)",
-                    )
-                context.metrics.observe("gsim_plus.bytes_held", charged)
+            if factors is not None:
+                _account(factors.resident_nbytes, "GSim+ initial factors")
+                context.metrics.observe("gsim_plus.width", factors.width)
+            else:
+                _account(
+                    self._dense_fallback_charge(),
+                    "GSim+ dense rank-cap fallback (resumed)",
+                )
+            context.metrics.observe("gsim_plus.bytes_held", charged)
             yield _IterationState(start_k, factors, dense_z, dense_log)
             for k in range(start_k + 1, iterations + 1):
-                if context is not None:
-                    context.checkpoint(f"GSim+ iteration {k}")
+                context.checkpoint(f"GSim+ iteration {k}")
                 with tracer.span("gsim_plus.iterate") as span:
                     span.set_attribute("k", k)
                     if (
@@ -673,11 +656,10 @@ class GSimPlus:
                         # once the doubled width exceeds min(n_A, n_B).
                         # Working set from here on: the dense iterate plus
                         # one dense step's buffers.
-                        if context is not None:
-                            _account(
-                                self._dense_fallback_charge(),
-                                "GSim+ dense rank-cap fallback",
-                            )
+                        _account(
+                            self._dense_fallback_charge(),
+                            "GSim+ dense rank-cap fallback",
+                        )
                         tracer.event(
                             "gsim_plus.dense_fallback",
                             severity="warning",
@@ -709,22 +691,20 @@ class GSimPlus:
                             and factors.width > width_cap
                         ):
                             factors = factors.compressed()
-                        if context is not None:
-                            _account(
-                                factors.resident_nbytes, f"GSim+ factors (k={k})"
-                            )
+                        _account(
+                            factors.resident_nbytes, f"GSim+ factors (k={k})"
+                        )
                     width = factors.width if factors is not None else width_cap
                     span.set_attribute("width", width)
                     if dense_z is not None:
                         span.set_attribute("z_log_norm", dense_log)
-                if context is not None:
-                    context.metrics.increment("gsim_plus.iterations")
-                    context.metrics.increment("gsim_plus.spmm", 4)
-                    context.metrics.observe("gsim_plus.width", width)
-                    context.metrics.observe("gsim_plus.bytes_held", charged)
-                    if dense_z is not None:
-                        context.metrics.increment("gsim_plus.dense_steps")
-                        context.metrics.set_gauge("gsim_plus.z_log_norm", dense_log)
+                context.metrics.increment("gsim_plus.iterations")
+                context.metrics.increment("gsim_plus.spmm", 4)
+                context.metrics.observe("gsim_plus.width", width)
+                context.metrics.observe("gsim_plus.bytes_held", charged)
+                if dense_z is not None:
+                    context.metrics.increment("gsim_plus.dense_steps")
+                    context.metrics.set_gauge("gsim_plus.z_log_norm", dense_log)
                 if manager is not None and (
                     k % checkpoint_every == 0 or k == iterations
                 ):
@@ -733,9 +713,7 @@ class GSimPlus:
                         _snapshot_state(k)
                 yield _IterationState(k, factors, dense_z, dense_log)
         finally:
-            if context is not None and charged:
-                context.release(charged)
-                charged = 0
+            context.release(charged)
 
     # Fingerprint keys introduced after the v1 checkpoint format; an old
     # snapshot that predates them implicitly ran with these values.
@@ -814,6 +792,7 @@ class GSimPlus:
         """
         queries_a = self._resolve_queries(queries_a, self.n_a, "queries_a")
         queries_b = self._resolve_queries(queries_b, self.n_b, "queries_b")
+        context = context or NULL_CONTEXT
         final: _IterationState | None = None
         for final in self.iterate(
             iterations,

@@ -15,10 +15,13 @@ instead of the full ``O(rows * n_B log(rows * n_B))`` sort.
 Ordering is canonical everywhere: score descending, then lowest
 ``node_a``, then lowest ``node_b``.  Because candidate merges select by
 that total order over values (not by arrival order), the result is
-independent of block size, worker count and backend — the scan splits
-rows into runs of whole blocks, one task of the shared kernel
+independent of worker count and backend — the scan splits rows into
+runs of whole blocks, one task of the shared kernel
 (:func:`repro.runtime.kernels.scan_pairs`) per run, each keeps a local
-k-best set, and the final merge re-selects the global top k.
+k-best set, and the final merge re-selects the global top k.  Across
+block sizes it holds up to rounding: BLAS sums a block's dot products in
+an order that depends on the block's row count, so a score may differ
+in its last bit and an exact tie may resolve as a near-tie.
 
 Entry points:
 
@@ -40,9 +43,8 @@ import numpy as np
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext, kernels
+from repro.runtime import NULL_CONTEXT, ExecutionContext, kernels
 from repro.runtime.parallel import WorkerPool, shard_ranges
-from repro.runtime.trace import NULL_TRACER
 from repro.utils.validation import check_positive_integer, resolve_node_index
 
 __all__ = ["ScoredPair", "scan_top_pairs", "top_k_for_queries", "top_k_pairs"]
@@ -61,7 +63,7 @@ def _factors_for(
     graph_a: Graph,
     graph_b: Graph,
     iterations: int,
-    context: ExecutionContext | None = None,
+    context: ExecutionContext,
     max_workers: "WorkerPool | int | None" = None,
     recompress_tol: float | None = None,
     precision: str = "float64",
@@ -93,7 +95,7 @@ def _factors_for(
 
 
 def _record_scan(
-    context: ExecutionContext | None,
+    context: ExecutionContext,
     histogram: str,
     slow_name: str,
     start_time: float,
@@ -101,8 +103,6 @@ def _record_scan(
     **fields: object,
 ) -> None:
     """A finished scan's latency histogram entry and slow-query record."""
-    if context is None:
-        return
     duration = time.perf_counter() - start_time
     context.metrics.observe_histogram(histogram, duration)
     if context.slow_queries is not None:
@@ -135,7 +135,7 @@ def scan_top_pairs(
     n_a, n_b = factors.shape
     k = min(k, n_a * n_b)
     pool = WorkerPool.resolve(max_workers, backend=backend)
-    tracer = context.tracer if context is not None else NULL_TRACER
+    context = context or NULL_CONTEXT
     # Shards are runs of whole blocks, so the blocks scanned — and every
     # per-block counter — do not depend on the worker count.
     num_blocks = -(-n_a // block_rows)
@@ -145,7 +145,7 @@ def scan_top_pairs(
     ]
 
     start_time = time.perf_counter()
-    with tracer.span("topk.scan_pairs") as span:
+    with context.tracer.span("topk.scan_pairs") as span:
         span.set_attribute("k", k)
         span.set_attribute("rows", n_a)
         span.set_attribute("cols", n_b)
@@ -161,9 +161,8 @@ def scan_top_pairs(
                 parts = pool.map(
                     kernels.scan_pairs, tasks, context=context, what="top-k pair scan"
                 )
-            if context is not None:
-                context.metrics.increment("topk.blocks_scanned", num_blocks)
-                context.metrics.increment("topk.rows_scanned", n_a)
+            context.metrics.increment("topk.blocks_scanned", num_blocks)
+            context.metrics.increment("topk.rows_scanned", n_a)
             if not parts:
                 return []
             scores = np.concatenate([part[0] for part in parts])
@@ -200,8 +199,8 @@ def top_k_pairs(
     identical to the normalised similarity (normalisation is a positive
     scalar), and returned scores are rescaled to unit Frobenius norm for
     interpretability.  Ties are broken by lowest ``node_a`` then lowest
-    ``node_b``; the result is independent of ``block_rows`` and
-    ``max_workers``.
+    ``node_b``; the result is independent of ``max_workers``, and of
+    ``block_rows`` up to last-bit rounding of the scores.
 
     Examples
     --------
@@ -214,6 +213,7 @@ def top_k_pairs(
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
+    context = context or NULL_CONTEXT
     pool = WorkerPool.resolve(max_workers, backend=backend)  # build and scan
     factors, norm = _factors_for(
         graph_a, graph_b, iterations, context, pool, recompress_tol, precision
@@ -251,6 +251,7 @@ def top_k_for_queries(
     """
     k = check_positive_integer(k, "k")
     block_rows = check_positive_integer(block_rows, "block_rows")
+    context = context or NULL_CONTEXT
     pool = WorkerPool.resolve(max_workers, backend=backend)  # build and scan
     factors, norm = _factors_for(
         graph_a, graph_b, iterations, context, pool, recompress_tol, precision
@@ -264,9 +265,8 @@ def top_k_for_queries(
         (start, min(start + block_rows, rows.size))
         for start in range(0, rows.size, block_rows)
     ]
-    tracer = context.tracer if context is not None else NULL_TRACER
     start_time = time.perf_counter()
-    with tracer.span("topk.query_scan") as span:
+    with context.tracer.span("topk.query_scan") as span:
         span.set_attribute("queries", int(rows.size))
         span.set_attribute("k", k)
         try:
@@ -283,9 +283,8 @@ def top_k_for_queries(
                     kernels.scan_queries, tasks, context=context,
                     what="top-k query scan",
                 )
-            if context is not None:
-                context.metrics.increment("topk.blocks_scanned", len(chunk_bounds))
-                context.metrics.increment("topk.rows_scanned", int(rows.size))
+            context.metrics.increment("topk.blocks_scanned", len(chunk_bounds))
+            context.metrics.increment("topk.rows_scanned", int(rows.size))
         finally:
             _record_scan(
                 context, "topk.query_scan_seconds", "topk.query_scan", start_time,

@@ -129,7 +129,7 @@ class IndexGenerationManager:
         self._graph_a = graph_a
         self._graph_b = graph_b
         self.iterations = check_positive_integer(iterations, "iterations")
-        self._context = context if context is not None else ExecutionContext()
+        self._context = context or ExecutionContext()
         self.staleness_budget = (
             staleness_budget if staleness_budget is not None else StalenessBudget()
         )
@@ -556,9 +556,9 @@ class IndexGenerationManager:
             self._ckpt_target = target
         attempt_context = ExecutionContext(
             deadline=(
-                WallClockDeadline(self._rebuild_deadline)
-                if self._rebuild_deadline is not None
-                else None
+                None
+                if self._rebuild_deadline is None
+                else WallClockDeadline(self._rebuild_deadline)
             ),
             memory=self._context.memory,
             cancellation=self._context.cancellation,

@@ -108,7 +108,7 @@ class SimilaritySession:
         self._graph_b = graph_b
         self.iterations = check_positive_integer(iterations, "iterations")
         self.policy = check_policy(policy)
-        self._context = context if context is not None else ExecutionContext()
+        self._context = context or ExecutionContext()
         self._manager = IndexGenerationManager(
             graph_a,
             graph_b,

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.experiments.guards import Deadline, MemoryBudget
 from repro.experiments.runner import ALGORITHMS, Outcome, RunRecord, run_algorithm
 from repro.graphs.datasets import load_dataset_pair
+from repro.runtime import Deadline, MemoryBudget
 from repro.workloads.queries import make_workload
 from repro.utils.validation import check_positive_integer
 

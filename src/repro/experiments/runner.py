@@ -33,14 +33,15 @@ from repro.baselines.rolesim import rolesim_query
 from repro.baselines.structsim import structsim_query
 from repro.core.complexity import InstanceParams, predict_cost
 from repro.core.gsim_plus import gsim_plus
-from repro.experiments.guards import (
+from repro.graphs.graph import Graph
+from repro.runtime import (
+    BudgetExceeded,
     Deadline,
     DeadlineExceeded,
+    ExecutionContext,
     MemoryBudget,
     MemoryBudgetExceeded,
 )
-from repro.graphs.graph import Graph
-from repro.runtime import BudgetExceeded, ExecutionContext
 from repro.runtime.parallel import WorkerPool
 from repro.runtime.resilience import RetryPolicy
 from repro.runtime.trace import NULL_TRACER, NullTracer, Tracer

@@ -34,7 +34,6 @@ from pathlib import Path
 
 from typing import TYPE_CHECKING
 
-from repro.experiments.guards import Deadline, MemoryBudget
 from repro.experiments.runner import (
     ALGORITHMS,
     CellTask,
@@ -43,6 +42,7 @@ from repro.experiments.runner import (
     run_cells,
 )
 from repro.graphs.datasets import DATASETS, load_dataset_pair
+from repro.runtime import Deadline, MemoryBudget
 from repro.workloads.queries import make_workload
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports

@@ -47,19 +47,17 @@ import json
 import mmap as _mmap_module
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.graphs.io import _MODES, _parse_lines, _SkipCounter, _warn_skips
+from repro.runtime.context import NULL_CONTEXT, ExecutionContext
 from repro.runtime.workspace import ArrayRef, CsrRef, csr_from_arrays
 from repro.runtime.resilience import atomic_write, content_checksum
 from repro.utils.memory import resident_nbytes
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.context import ExecutionContext
 
 __all__ = ["MmapCSRGraph", "convert_edge_list"]
 
@@ -412,18 +410,13 @@ def _iter_edge_chunks(
         yield sources[:filled], targets[:filled], weights[:filled]
 
 
-def _checkpoint(context: "ExecutionContext | None", what: str) -> None:
-    if context is not None:
-        context.checkpoint(what)
-
-
 def _count_stage(
     source: Path,
     root: Path,
     comment: str,
     mode: str,
     chunk_edges: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> dict:
     """Pass 1: out-degree counts -> raw indptr; node count; raw nnz."""
     skips = _SkipCounter()
@@ -431,7 +424,7 @@ def _count_stage(
     max_id = -1
     nnz = 0
     for src, dst, _ in _iter_edge_chunks(source, comment, mode, skips, chunk_edges):
-        _checkpoint(context, f"mmap convert count @edge {nnz}")
+        context.checkpoint(f"mmap convert count @edge {nnz}")
         top = int(max(src.max(), dst.max()))
         max_id = max(max_id, top)
         if top >= counts.size:
@@ -460,7 +453,7 @@ def _scatter_stage(
     chunk_edges: int,
     num_nodes: int,
     raw_nnz: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> None:
     """Pass 2: scatter (dst, weight) into per-row slots, file order kept."""
     indptr = np.fromfile(root / "raw.indptr.bin", dtype=np.int64)
@@ -475,7 +468,7 @@ def _scatter_stage(
         for src, dst, weight in _iter_edge_chunks(
             source, comment, mode, skips, chunk_edges
         ):
-            _checkpoint(context, f"mmap convert scatter @edge {seen}")
+            context.checkpoint(f"mmap convert scatter @edge {seen}")
             # Vectorised multi-scatter: group the chunk by source row
             # (stable, so file order within a row is preserved), then
             # place each group at its row cursor in one slice assignment.
@@ -505,7 +498,7 @@ def _canonical_stage(
     raw_nnz: int,
     index_dtype: np.dtype,
     block_rows: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> int:
     """Block-wise canonicalisation into the final ``adj.*`` arrays.
 
@@ -533,7 +526,7 @@ def _canonical_stage(
     ) as tmp_dat, tmp_idx.open("wb") as idx_handle, tmp_dat.open("wb") as dat_handle:
         for start in range(0, num_nodes, block_rows):
             stop = min(start + block_rows, num_nodes)
-            _checkpoint(context, f"mmap convert canonical @row {start}")
+            context.checkpoint(f"mmap convert canonical @row {start}")
             lo, hi = int(raw_indptr[start]), int(raw_indptr[stop])
             block = sp.csr_matrix(
                 (
@@ -564,7 +557,7 @@ def _transpose_stage(
     nnz: int,
     index_dtype: np.dtype,
     block_rows: int,
-    context: "ExecutionContext | None",
+    context: ExecutionContext,
 ) -> None:
     """Out-of-core ``A^T`` from the canonical ``A``.
 
@@ -600,7 +593,7 @@ def _transpose_stage(
         )
         for start in range(0, num_nodes, block_rows):
             stop = min(start + block_rows, num_nodes)
-            _checkpoint(context, f"mmap convert transpose @row {start}")
+            context.checkpoint(f"mmap convert transpose @row {start}")
             lo, hi = int(indptr[start]), int(indptr[stop])
             if hi == lo:
                 continue
@@ -639,7 +632,7 @@ def convert_edge_list(
     chunk_edges: int = 1 << 20,
     block_rows: int = 1 << 16,
     resume: bool = True,
-    context: "ExecutionContext | None" = None,
+    context: ExecutionContext | None = None,
 ) -> MmapCSRGraph:
     """Convert an edge-list file into an mmap-CSR artifact directory.
 
@@ -676,6 +669,7 @@ def convert_edge_list(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    context = context or NULL_CONTEXT
     source = Path(source)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -687,8 +681,7 @@ def convert_edge_list(
         progress.clear()
 
     def _metric(event: str, value: int = 1) -> None:
-        if context is not None:
-            context.metrics.increment(f"mmap_convert.{event}", value)
+        context.metrics.increment(f"mmap_convert.{event}", value)
 
     count_meta = progress.done("count")
     if count_meta is None:
@@ -734,7 +727,7 @@ def convert_edge_list(
     else:
         _metric("stages_resumed")
 
-    _checkpoint(context, "mmap convert manifest")
+    context.checkpoint("mmap convert manifest")
     _publish_manifest(
         root,
         name=name or source.stem,

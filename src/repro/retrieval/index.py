@@ -22,9 +22,8 @@ from repro.core.embeddings import LowRankFactors, TruncationInfo
 from repro.core.gsim_plus import GSimPlus
 from repro.core.topk import ScoredPair, scan_top_pairs
 from repro.graphs.graph import Graph
-from repro.runtime import ExecutionContext, Metrics, WorkerPool
+from repro.runtime import NULL_CONTEXT, ExecutionContext, WorkerPool
 from repro.runtime.errors import CorruptArtifactError
-from repro.runtime.trace import NULL_TRACER
 from repro.runtime.resilience import (
     CheckpointManager,
     atomic_write,
@@ -126,8 +125,7 @@ class GSimIndex:
         run GIL-free without copying the graphs anywhere.
         """
         iterations = check_positive_integer(iterations, "iterations")
-        if context is None:
-            context = ExecutionContext(metrics=Metrics())
+        context = context or ExecutionContext()
         solver = GSimPlus(
             graph_a,
             graph_b,
@@ -330,12 +328,12 @@ class GSimIndex:
         in the slow-query ring with its cell count, factor width, and
         trace span id.
         """
-        tracer = context.tracer if context is not None else NULL_TRACER
+        context = context or NULL_CONTEXT
         start = time.perf_counter()
         failed = False
         span = None
         try:
-            with tracer.span("index.query") as span:
+            with context.tracer.span("index.query") as span:
                 block = self._engine.query(queries_a, queries_b, context=context)
                 span.set_attribute("cells", int(block.size))
                 return block
@@ -343,20 +341,19 @@ class GSimIndex:
             failed = True
             raise
         finally:
-            if context is not None:
-                duration = time.perf_counter() - start
-                context.metrics.observe_histogram("index.query_seconds", duration)
-                context.metrics.increment("index.query.requests")
-                if failed:
-                    context.metrics.increment("index.query.errors")
-                if context.slow_queries is not None:
-                    context.slow_queries.maybe_record(
-                        "index.query",
-                        duration,
-                        width=self._factors.width,
-                        span_id=getattr(span, "span_id", None),
-                        error=failed,
-                    )
+            duration = time.perf_counter() - start
+            context.metrics.observe_histogram("index.query_seconds", duration)
+            context.metrics.increment("index.query.requests")
+            if failed:
+                context.metrics.increment("index.query.errors")
+            if context.slow_queries is not None:
+                context.slow_queries.maybe_record(
+                    "index.query",
+                    duration,
+                    width=self._factors.width,
+                    span_id=getattr(span, "span_id", None),
+                    error=failed,
+                )
 
     def top_matches(
         self, node_a: int, k: int = 10, context: ExecutionContext | None = None
@@ -390,9 +387,9 @@ class GSimIndex:
         if isinstance(max_workers, int) and max_workers < 1:
             max_workers = 1  # historical "0 means serial" tolerance
         pool = WorkerPool.resolve(max_workers)
-        tracer = context.tracer if context is not None else NULL_TRACER
+        context = context or NULL_CONTEXT
         start = time.perf_counter()
-        with tracer.span("index.query_many") as span:
+        with context.tracer.span("index.query_many") as span:
             span.set_attribute("requests", len(request_list))
             try:
                 return pool.map(
@@ -404,20 +401,19 @@ class GSimIndex:
                     what="index query blocks",
                 )
             finally:
-                if context is not None:
-                    duration = time.perf_counter() - start
-                    context.metrics.observe_histogram(
-                        "index.query_many_seconds", duration
+                duration = time.perf_counter() - start
+                context.metrics.observe_histogram(
+                    "index.query_many_seconds", duration
+                )
+                if context.slow_queries is not None:
+                    context.slow_queries.maybe_record(
+                        "index.query_many",
+                        duration,
+                        requests=len(request_list),
+                        workers=pool.max_workers,
+                        width=self._factors.width,
+                        span_id=getattr(span, "span_id", None),
                     )
-                    if context.slow_queries is not None:
-                        context.slow_queries.maybe_record(
-                            "index.query_many",
-                            duration,
-                            requests=len(request_list),
-                            workers=pool.max_workers,
-                            width=self._factors.width,
-                            span_id=getattr(span, "span_id", None),
-                        )
 
     def top_pairs(
         self,
@@ -430,11 +426,12 @@ class GSimIndex:
 
         Scores are globally normalised (entries of the unit-Frobenius
         matrix); ties break by lowest ``node_a`` then ``node_b``, and the
-        result is identical for every ``block_rows`` and ``max_workers``.
+        result is identical for every ``max_workers`` (and for every
+        ``block_rows`` up to last-bit rounding of the scores).
         """
-        tracer = context.tracer if context is not None else NULL_TRACER
+        context = context or NULL_CONTEXT
         start = time.perf_counter()
-        with tracer.span("index.top_pairs") as span:
+        with context.tracer.span("index.top_pairs") as span:
             span.set_attribute("k", k)
             try:
                 return scan_top_pairs(
@@ -446,21 +443,20 @@ class GSimIndex:
                     score_scale=1.0 / self._engine.global_norm,
                 )
             finally:
-                if context is not None:
-                    duration = time.perf_counter() - start
-                    context.metrics.observe_histogram(
-                        "index.top_pairs_seconds", duration
+                duration = time.perf_counter() - start
+                context.metrics.observe_histogram(
+                    "index.top_pairs_seconds", duration
+                )
+                if context.slow_queries is not None:
+                    context.slow_queries.maybe_record(
+                        "index.top_pairs",
+                        duration,
+                        k=int(k),
+                        block_rows=int(block_rows),
+                        workers=WorkerPool.resolve(max_workers).max_workers,
+                        width=self._factors.width,
+                        span_id=getattr(span, "span_id", None),
                     )
-                    if context.slow_queries is not None:
-                        context.slow_queries.maybe_record(
-                            "index.top_pairs",
-                            duration,
-                            k=int(k),
-                            block_rows=int(block_rows),
-                            workers=WorkerPool.resolve(max_workers).max_workers,
-                            width=self._factors.width,
-                            span_id=getattr(span, "span_id", None),
-                        )
 
     def __repr__(self) -> str:
         return (

@@ -1,17 +1,20 @@
 """Runtime layer: execution contexts, budgets, cancellation, metrics.
 
 Sits between :mod:`repro.utils` and the compute layers.  Every solver,
-retrieval, and serving loop in the library accepts an optional
-:class:`ExecutionContext` and, when given one, polls its deadline and
+retrieval, and serving loop in the library runs under an
+:class:`ExecutionContext`: it polls the context's deadline and
 cancellation token at checkpoints, charges working sets against its live
 memory ledger, and records counters/timers/series into its
 :class:`Metrics` sink.  Budget breaches surface as structured
 :class:`BudgetExceeded` failures carrying the metrics collected so far.
+A caller that passes no context gets :data:`NULL_CONTEXT`, the shared
+no-op context: no budgets, and a :data:`NULL_METRICS` sink that drops
+every write.
 
-The experiment guards (:mod:`repro.experiments.guards`) are thin
-re-exports of :class:`Deadline` / :class:`MemoryBudget`, so predictive
-gating (cost-model OOM/TIMEOUT substitution) and in-loop enforcement
-share one implementation.
+The budget policies (:class:`Deadline` / :class:`MemoryBudget`) live
+here too, so the experiment harness's predictive gating (cost-model
+OOM/TIMEOUT substitution) and in-loop enforcement share one
+implementation.
 
 Tracing (:mod:`repro.runtime.trace`) rides the same context: attach a
 :class:`Tracer` and every instrumented loop records hierarchical spans
@@ -27,7 +30,7 @@ from repro.runtime.budget import (
     MemoryLedger,
     WallClockDeadline,
 )
-from repro.runtime.context import CancellationToken, ExecutionContext
+from repro.runtime.context import NULL_CONTEXT, CancellationToken, ExecutionContext
 from repro.runtime.errors import (
     BudgetExceeded,
     Cancelled,
@@ -40,6 +43,7 @@ from repro.runtime.errors import (
 )
 from repro.runtime.metrics import (
     HISTOGRAM_BUCKETS,
+    NULL_METRICS,
     Metrics,
     TimerReading,
     histogram_bucket_bounds,
@@ -96,6 +100,8 @@ __all__ = [
     "MemoryLedger",
     "Metrics",
     "MetricsExporter",
+    "NULL_CONTEXT",
+    "NULL_METRICS",
     "NULL_TRACER",
     "NullTracer",
     "PeriodicFlusher",

@@ -1,8 +1,8 @@
 """The ExecutionContext: one object a compute loop polls and reports to.
 
 Every long-running entry point in the library accepts an optional
-``context`` and, when given one, does four things at each natural
-checkpoint (an iteration, a row block, a query pair):
+``context`` and does four things with it at each natural checkpoint (an
+iteration, a row block, a query pair):
 
 1. **poll the deadline** — :meth:`ExecutionContext.checkpoint` raises a
    structured :class:`repro.runtime.errors.DeadlineExceeded` once the
@@ -17,10 +17,16 @@ checkpoint (an iteration, a row block, a query pair):
 4. **record metrics** — counters/timers/series on
    :attr:`ExecutionContext.metrics`.
 
-Passing no context costs nothing: every instrumented loop guards with
-``if context is not None`` so the no-context path is byte-for-byte the
-historical behaviour.  All structured failures carry a metrics snapshot,
-so an interrupted run still reports how far it got.
+A context is always present below the entry points.  An entry point
+given none resolves it once, ``context = context or NULL_CONTEXT``, and
+everything beneath calls the context unconditionally.
+:data:`NULL_CONTEXT` has no deadline, ledger, cancellation token, fault
+injector or slow-query log; its tracer is
+:data:`repro.runtime.trace.NULL_TRACER` and its metrics sink
+:data:`repro.runtime.metrics.NULL_METRICS` drops every write.  So the
+no-context path computes exactly what a context-free run would, at the
+cost of a few no-op calls per checkpoint.  All structured failures carry
+a metrics snapshot, so an interrupted run still reports how far it got.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from typing import Any
 
 from repro.runtime.budget import MemoryLedger, WallClockDeadline
 from repro.runtime.errors import Cancelled, DeadlineExceeded, MemoryBudgetExceeded
-from repro.runtime.metrics import Metrics
+from repro.runtime.metrics import NULL_METRICS, Metrics
 from repro.runtime.trace import NULL_TRACER, NullTracer, Tracer
 
-__all__ = ["CancellationToken", "ExecutionContext"]
+__all__ = ["CancellationToken", "ExecutionContext", "NULL_CONTEXT", "NullContext"]
 
 
 class CancellationToken:
@@ -178,11 +184,11 @@ class ExecutionContext:
         Raised exceptions carry :meth:`Metrics.snapshot` of everything
         recorded so far.
         """
-        if self.cancellation is not None and self.cancellation.cancelled:
+        if self.cancellation and self.cancellation.cancelled:
             raise Cancelled(
                 f"{what} cancelled", metrics=self.metrics.snapshot()
             )
-        if self.deadline is not None and self.deadline.expired:
+        if self.deadline and self.deadline.expired:
             raise DeadlineExceeded(
                 f"{what} exceeded its {self.deadline.limit_seconds:.1f}s "
                 "wall-clock budget",
@@ -199,7 +205,7 @@ class ExecutionContext:
         metrics snapshot; on success the peak is mirrored into the
         ``memory.peak_bytes`` gauge.
         """
-        if self.memory is None:
+        if not self.memory:
             return
         try:
             self.memory.charge(num_bytes, what)
@@ -210,16 +216,16 @@ class ExecutionContext:
 
     def release(self, num_bytes: float) -> None:
         """Return a charged working set to the ledger (no-op without one)."""
-        if self.memory is not None:
+        if self.memory:
             self.memory.release(num_bytes)
 
     def snapshot(self) -> dict[str, Any]:
         """The metrics snapshot, with live budget state folded in."""
         snap = self.metrics.snapshot()
-        if self.deadline is not None:
+        if self.deadline:
             snap["gauges"]["deadline.elapsed_seconds"] = self.deadline.elapsed
             snap["gauges"]["deadline.limit_seconds"] = self.deadline.limit_seconds
-        if self.memory is not None:
+        if self.memory:
             snap["gauges"]["memory.held_bytes"] = self.memory.held_bytes
             snap["gauges"]["memory.peak_bytes"] = self.memory.peak_bytes
             snap["gauges"]["memory.limit_bytes"] = self.memory.limit_bytes
@@ -227,10 +233,50 @@ class ExecutionContext:
 
     def __repr__(self) -> str:
         parts = []
-        if self.deadline is not None:
+        if self.deadline:
             parts.append(f"deadline={self.deadline.limit_seconds:.1f}s")
-        if self.memory is not None:
+        if self.memory:
             parts.append(f"memory={self.memory.limit_bytes}B")
-        if self.cancellation is not None:
+        if self.cancellation:
             parts.append(f"cancelled={self.cancellation.cancelled}")
         return f"ExecutionContext({', '.join(parts)})"
+
+
+class NullContext(ExecutionContext):
+    """The always-present stand-in for "no context": no budgets, no records.
+
+    Its class attributes are fixed and it has no instance state, so the
+    one shared :data:`NULL_CONTEXT` cannot be armed by accident.  It
+    pickles by reference, so a process worker resolves the same
+    singleton.
+
+    Examples
+    --------
+    >>> NULL_CONTEXT.checkpoint("demo")
+    >>> NULL_CONTEXT.charge(1 << 40)
+    >>> NULL_CONTEXT.metrics.increment("demo.steps")
+    >>> NULL_CONTEXT.snapshot()["counters"]
+    {}
+    """
+
+    __slots__ = ()
+
+    deadline = None
+    memory = None
+    cancellation = None
+    metrics = NULL_METRICS
+    fault_injector = None
+    tracer = NULL_TRACER
+    slow_queries = None
+
+    def __init__(self) -> None:
+        pass
+
+    def __reduce__(self) -> str:
+        return "NULL_CONTEXT"
+
+    def __repr__(self) -> str:
+        return "NULL_CONTEXT"
+
+
+NULL_CONTEXT = NullContext()

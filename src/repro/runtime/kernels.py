@@ -6,8 +6,9 @@ function runs inline, in a worker thread over the caller's arrays, or in
 a pool process over mapped files — the workspace that built the handles
 decides which.  Every output row is written by exactly one task as one
 fixed-order accumulation, so results are bit-identical for every shard
-split and backend.  The scan kernels take an optional execution context
-(``None`` across a process boundary) to poll and charge per block.
+split and backend.  The scan kernels take an execution context to poll
+and charge per block (:data:`repro.runtime.context.NULL_CONTEXT` across
+a process boundary).
 """
 
 from __future__ import annotations
@@ -98,9 +99,8 @@ def scan_pairs(
         block_bytes = dense_matrix_bytes(
             block_stop - block_start, n_b, itemsize=v_t.dtype.itemsize
         )
-        if context is not None:
-            context.checkpoint(f"top_k_pairs scan at row {block_start}")
-            context.charge(block_bytes, "top-k scan block")
+        context.checkpoint(f"top_k_pairs scan at row {block_start}")
+        context.charge(block_bytes, "top-k scan block")
         try:
             flat = (u[block_start:block_stop] @ v_t).ravel()
             # Candidates: everything that can still reach the top k.  The
@@ -112,8 +112,7 @@ def scan_pairs(
                 candidates = np.arange(flat.size)
             values = flat[candidates]
         finally:
-            if context is not None:
-                context.release(block_bytes)
+            context.release(block_bytes)
         if values.size > k:
             kth = values[np.argpartition(-values, k - 1)[k - 1]]
             keep = values >= kth
@@ -145,9 +144,8 @@ def scan_queries(
     block_bytes = dense_matrix_bytes(
         chunk.size, v_t.shape[1], itemsize=v_t.dtype.itemsize
     )
-    if context is not None:
-        context.checkpoint(f"top_k_for_queries scan at query {start}")
-        context.charge(block_bytes, "top-k query block")
+    context.checkpoint(f"top_k_for_queries scan at query {start}")
+    context.charge(block_bytes, "top-k query block")
     try:
         block = u[chunk] @ v_t
         out = []
@@ -157,5 +155,4 @@ def scan_queries(
             out.append((int(node_a), order, block[i, order]))
         return out
     finally:
-        if context is not None:
-            context.release(block_bytes)
+        context.release(block_bytes)

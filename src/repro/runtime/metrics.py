@@ -24,6 +24,10 @@ All mutators take one internal lock, so worker threads (e.g. the
 without losing increments.  :meth:`snapshot` returns a deep, JSON-ready
 copy that later mutation cannot alter — that is what a structured
 :class:`repro.runtime.errors.BudgetExceeded` carries.
+
+:data:`NULL_METRICS` is the sink of the no-op
+:data:`repro.runtime.context.NULL_CONTEXT`: it has every :class:`Metrics`
+method, drops every write, and reads back as never-recorded.
 """
 
 from __future__ import annotations
@@ -32,10 +36,17 @@ import math
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator, NamedTuple
 
-__all__ = ["HISTOGRAM_BUCKETS", "Metrics", "TimerReading", "histogram_bucket_bounds"]
+__all__ = [
+    "HISTOGRAM_BUCKETS",
+    "Metrics",
+    "NULL_METRICS",
+    "NullMetrics",
+    "TimerReading",
+    "histogram_bucket_bounds",
+]
 
 # Values one series keeps (the newest): far above one run's per-iteration
 # series, it bounds sinks that live as long as a session, e.g. a live
@@ -383,3 +394,63 @@ class Metrics:
                 f"series={len(self._series)}, "
                 f"histograms={len(self._histograms)})"
             )
+
+
+_NO_OP = nullcontext()
+
+
+class NullMetrics:
+    """The do-nothing sink: every write is dropped, every read is empty.
+
+    Stateless and lock-free, so code running under
+    :data:`repro.runtime.context.NULL_CONTEXT` records unconditionally at
+    the cost of a method call.  It pickles by reference to
+    :data:`NULL_METRICS`.
+
+    Examples
+    --------
+    >>> NULL_METRICS.increment("solver.iterations")
+    >>> NULL_METRICS.counter("solver.iterations")
+    0.0
+    """
+
+    __slots__ = ()
+
+    def _drop(self, *args: Any, **kwargs: Any) -> None:
+        """Discard one write."""
+
+    increment = add_time = set_gauge = record_max = _drop
+    observe = observe_histogram = merge_snapshot = _drop
+
+    def time(self, name: str) -> "nullcontext[None]":
+        """A shared no-op context manager: nothing is timed."""
+        return _NO_OP
+
+    time_histogram = time
+
+    def counter(self, name: str) -> float:
+        return 0.0
+
+    def timer(self, name: str) -> TimerReading:
+        return TimerReading(0.0, 0)
+
+    def gauge(self, name: str) -> float | None:
+        return None
+
+    def series(self, name: str) -> list[float]:
+        return []
+
+    def histogram(self, name: str) -> dict[str, Any]:
+        return _Histogram().to_snapshot()
+
+    def snapshot(self) -> dict[str, Any]:
+        return Metrics().snapshot()
+
+    def __reduce__(self) -> str:
+        return "NULL_METRICS"
+
+    def __repr__(self) -> str:
+        return "NULL_METRICS"
+
+
+NULL_METRICS = NullMetrics()

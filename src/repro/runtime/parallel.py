@@ -72,8 +72,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 import _repro_blas_pin
-from repro.runtime.context import ExecutionContext
-from repro.runtime.trace import NULL_TRACER
+from repro.runtime.context import NULL_CONTEXT, ExecutionContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.workspace import Workspace
@@ -320,12 +319,12 @@ class WorkerPool:
         self,
         fn: Callable[[T], R],
         items: Iterable[T],
-        context: ExecutionContext | None = None,
+        context: ExecutionContext = NULL_CONTEXT,
         what: str = "parallel shards",
     ) -> list[R]:
         """Apply ``fn`` to every item; results come back in item order.
 
-        The context (when given) is checkpointed before every shard, so a
+        The context is checkpointed before every shard, so a
         cancelled token or expired deadline stops the work at shard
         granularity; per-shard wall time lands in the
         ``parallel.shard_seconds`` timer.  The first shard to fail — in
@@ -334,27 +333,22 @@ class WorkerPool:
         fails are cancelled.
         """
         work: Sequence[T] = list(items)
-        tracer = context.tracer if context is not None else NULL_TRACER
         # Captured in the submitting thread: worker-thread shard spans
         # stitch under the span that submitted them, not under whatever
         # happens to be open on the worker's own stack.
-        parent = tracer.current_span()
-        if context is not None:
-            context.checkpoint(what)
-            context.metrics.record_max("parallel.workers", self.max_workers)
+        parent = context.tracer.current_span()
+        context.checkpoint(what)
+        context.metrics.record_max("parallel.workers", self.max_workers)
         if not work:
             return []
         if self.serial or len(work) == 1:
-            return [
-                self._run_shard(fn, item, context, what, tracer, parent)
-                for item in work
-            ]
+            return [self._run_shard(fn, item, context, what, parent) for item in work]
         if self.backend == "process":
-            return self._map_process(fn, work, context, what, tracer, parent)
+            return self._map_process(fn, work, context, what, parent)
         run = self._run_shard
         with ThreadPoolExecutor(max_workers=self.max_workers) as executor:
             futures = [
-                executor.submit(run, fn, item, context, what, tracer, parent)
+                executor.submit(run, fn, item, context, what, parent)
                 for item in work
             ]
             return _gather(futures)
@@ -363,9 +357,8 @@ class WorkerPool:
         self,
         fn: Callable[[T], R],
         work: Sequence[T],
-        context: ExecutionContext | None,
+        context: ExecutionContext,
         what: str,
-        tracer,
         parent,
     ) -> list[R]:
         """Ship shards to the persistent process executor.
@@ -378,7 +371,7 @@ class WorkerPool:
         time is observed from the parent's side.
         """
         executor = self._process_executor()
-        if context is not None and self._worker_info is not None:
+        if self._worker_info is not None:
             context.metrics.set_gauge(
                 "parallel.worker_blas_threads",
                 float(self._worker_info["blas_threads"]),
@@ -387,34 +380,30 @@ class WorkerPool:
                 "parallel.process_workers", self.max_workers
             )
         start = time.perf_counter()
-        with tracer.span("parallel.process_batch", parent=parent) as span:
+        with context.tracer.span("parallel.process_batch", parent=parent) as span:
             span.set_attribute("what", what)
             span.set_attribute("shards", len(work))
             try:
                 return _gather([executor.submit(fn, item) for item in work])
             finally:
-                if context is not None:
-                    context.metrics.add_time(
-                        "parallel.shard_seconds", time.perf_counter() - start
-                    )
-                    context.metrics.increment("parallel.shards", len(work))
-                    context.checkpoint(what)
+                context.metrics.add_time(
+                    "parallel.shard_seconds", time.perf_counter() - start
+                )
+                context.metrics.increment("parallel.shards", len(work))
+                context.checkpoint(what)
 
     @staticmethod
     def _run_shard(
         fn: Callable[[T], R],
         item: T,
-        context: ExecutionContext | None,
+        context: ExecutionContext,
         what: str,
-        tracer=NULL_TRACER,
-        parent=None,
+        parent,
     ) -> R:
-        if context is None:
-            return fn(item)
         context.checkpoint(what)
         start = time.perf_counter()
         try:
-            with tracer.span("parallel.shard", parent=parent) as span:
+            with context.tracer.span("parallel.shard", parent=parent) as span:
                 span.set_attribute("what", what)
                 return fn(item)
         finally:

@@ -24,11 +24,12 @@ plus a bounded **structured event log**, and exports both:
 The **untraced default** is :data:`NULL_TRACER`, a singleton
 :class:`NullTracer` whose :meth:`~NullTracer.span` returns one shared
 no-op span — no per-call object allocation, so instrumented hot paths
-cost two method calls when tracing is off.  Instrumented code follows one
-pattern::
+cost two method calls when tracing is off.  It is the tracer of every
+context built without one, including the no-op
+:data:`repro.runtime.context.NULL_CONTEXT`, so instrumented code, which
+always holds a context, follows one pattern::
 
-    tracer = context.tracer if context is not None else NULL_TRACER
-    with tracer.span("index.query") as span:
+    with context.tracer.span("index.query") as span:
         ...
         span.set_attribute("cells", block.size)
 

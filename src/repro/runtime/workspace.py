@@ -37,6 +37,7 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
+from repro.runtime.context import NULL_CONTEXT, ExecutionContext
 from repro.runtime.parallel import shard_rows_by_nnz
 from repro.utils.memory import resident_estimate
 
@@ -200,7 +201,7 @@ class Workspace:
         """Ledger charge of an :meth:`empty` buffer of ``num_bytes``."""
         return int(num_bytes)
 
-    def kernel_context(self, context: Any) -> Any:
+    def kernel_context(self, context: ExecutionContext) -> ExecutionContext:
         """The execution context as a kernel can reach it."""
         return context
 
@@ -285,10 +286,10 @@ class ProcessWorkspace(Workspace):
         # A scratch memmap is spillable: charge its bounded resident share.
         return resident_estimate(num_bytes)
 
-    def kernel_context(self, context: Any) -> Any:
+    def kernel_context(self, context: ExecutionContext) -> ExecutionContext:
         # A context cannot cross the process boundary; pool.map polls it
         # in the parent between batches instead.
-        return None
+        return NULL_CONTEXT
 
     def release(self, *keep: np.ndarray) -> None:
         kept = {mapped[0].path for mapped in map(_mapped_ref, keep) if mapped}

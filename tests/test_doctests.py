@@ -34,7 +34,6 @@ MODULE_NAMES = [
     "repro.runtime.budget",
     "repro.runtime.context",
     "repro.runtime.metrics",
-    "repro.utils.deadline",
     "repro.utils.memory",
     "repro.utils.timing",
     "repro.workloads.sweeps",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Graph, gsim, gsim_partial
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, ExecutionContext, WallClockDeadline
 
 
 class TestGSim:
@@ -61,7 +61,10 @@ class TestGSim:
         graph_a, graph_b = random_pair
         expired = WallClockDeadline(1e-9)
         with pytest.raises(DeadlineExceeded):
-            gsim(graph_a, graph_b, iterations=5, deadline=expired)
+            gsim(
+                graph_a, graph_b, iterations=5,
+                context=ExecutionContext(deadline=expired),
+            )
 
 
 class TestGSimPartial:

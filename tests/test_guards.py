@@ -8,7 +8,7 @@ from repro.experiments import (
     MemoryBudget,
     MemoryBudgetExceeded,
 )
-from repro.utils.deadline import WallClockDeadline
+from repro.runtime import WallClockDeadline
 
 
 class TestMemoryBudget:

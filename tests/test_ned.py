@@ -5,7 +5,7 @@ import pytest
 from repro import Graph
 from repro.baselines import NEDIndex, ned_distance, ned_query
 from repro.baselines.ned import TreeSizeLimitExceeded
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, ExecutionContext, WallClockDeadline
 
 
 class TestNEDIndex:
@@ -91,7 +91,7 @@ class TestNEDQuery:
         with pytest.raises(DeadlineExceeded):
             ned_query(
                 graph_a, graph_b, [0, 1], [0, 1], depth=3,
-                deadline=WallClockDeadline(1e-9),
+                context=ExecutionContext(deadline=WallClockDeadline(1e-9)),
             )
 
     def test_memoisation_consistency(self, random_pair):

@@ -226,7 +226,7 @@ class TestSolverRecompression:
             GSimPlus(graph_a, graph_b, precision="float16")
 
     def test_recompression_metrics_and_ledger(self, random_pair):
-        from repro.experiments.guards import MemoryBudget
+        from repro.runtime import MemoryBudget
 
         graph_a, graph_b = random_pair
         metrics = Metrics()

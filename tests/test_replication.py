@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.guards import MemoryBudget
+from repro.runtime import MemoryBudget
 from repro.experiments.replication import (
     CellSummary,
     replicate_cell,

@@ -5,7 +5,7 @@ armed mid-run stopping GSim+ with partial metrics, a memory budget turning
 the dense rank-cap fallback into a structured failure, and thread-pooled
 ``query_many`` aggregating counters without losing increments — plus the
 supporting pieces (Metrics semantics, ledger accounting, cancellation,
-the guards façade, and byte-identical no-context behaviour).
+the budget policies, and byte-identical no-context behaviour).
 """
 
 import threading
@@ -18,7 +18,6 @@ from repro import gsim_plus
 from repro.core.batch import BatchQueryEngine
 from repro.core.embeddings import LowRankFactors
 from repro.core.gsim_plus import GSimPlus
-from repro.experiments import guards
 from repro.graphs import Graph
 from repro.runtime import (
     BudgetExceeded,
@@ -384,16 +383,9 @@ class TestBatchUnderContext:
 
 
 # ----------------------------------------------------------------------
-# Guards façade and policy objects
+# Policy objects
 # ----------------------------------------------------------------------
 class TestGuardsFacade:
-    def test_guard_classes_are_the_runtime_classes(self):
-        assert guards.Deadline is Deadline
-        assert guards.MemoryBudget is MemoryBudget
-        assert guards.WallClockDeadline is WallClockDeadline
-        assert guards.DeadlineExceeded is DeadlineExceeded
-        assert guards.MemoryBudgetExceeded is MemoryBudgetExceeded
-
     def test_policies_arm_live_enforcers(self):
         assert isinstance(Deadline(limit_seconds=5.0).arm(), WallClockDeadline)
         ledger = MemoryBudget(limit_bytes=1024).ledger()

@@ -6,7 +6,7 @@ import pytest
 from repro import Graph
 from repro.baselines import StructSimIndex, structsim_query
 from repro.baselines.structsim import _degree_bin
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, ExecutionContext, WallClockDeadline
 
 
 class TestDegreeBins:
@@ -117,5 +117,5 @@ class TestQuery:
         with pytest.raises(DeadlineExceeded):
             structsim_query(
                 graph_a, graph_b, [0, 1], [0, 1], levels=3,
-                deadline=WallClockDeadline(1e-9),
+                context=ExecutionContext(deadline=WallClockDeadline(1e-9)),
             )

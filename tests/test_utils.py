@@ -18,7 +18,7 @@ from repro.utils import (
     spawn_rngs,
     time_call,
 )
-from repro.utils.deadline import DeadlineExceeded, WallClockDeadline
+from repro.runtime import DeadlineExceeded, WallClockDeadline
 
 
 class TestRng:
