@@ -221,7 +221,7 @@ class SimilaritySession:
             if normalization == "block":
                 denominator = float(np.linalg.norm(block))
             else:
-                denominator = lease.factors.frobenius_norm(include_scale=False)
+                denominator = lease.index.global_norm
             if denominator == 0.0:
                 raise ZeroDivisionError("similarity collapsed to zero")
             return AnnotatedBlock(
@@ -255,7 +255,7 @@ class SimilaritySession:
         with self._manager.lease(policy) as lease:
             self._note_query(lease, pre_ordinal, count=len(request_list))
             factors = lease.factors
-            global_norm = factors.frobenius_norm(include_scale=False)
+            global_norm = lease.index.global_norm
 
             def _one(request) -> np.ndarray:
                 block = factors.query_block(
@@ -287,9 +287,7 @@ class SimilaritySession:
         with self._manager.lease(policy) as lease:
             self._note_query(lease, pre_ordinal)
             factors = lease.factors
-            norm = factors.frobenius_norm(include_scale=False)
-            if norm == 0.0:
-                raise ZeroDivisionError("similarity collapsed to zero")
+            norm = lease.index.global_norm
             row = factors.query_block(
                 [node_a], np.arange(factors.shape[1]), include_scale=False
             )[0]

@@ -306,6 +306,12 @@ class GSimIndex:
         """``(n_A, n_B)`` of the indexed similarity."""
         return self._factors.shape
 
+    @property
+    def global_norm(self) -> float:
+        """``||Z||_F`` of the unnormalised similarity, computed once when
+        the index is constructed; global normalisation divides by it."""
+        return self._engine.global_norm
+
     def memory_bytes(self) -> int:
         """Bytes held by the factor arrays."""
         return self._factors.memory_bytes()
@@ -422,7 +428,9 @@ class GSimIndex:
         context: ExecutionContext | None = None,
         max_workers=None,
     ) -> list[ScoredPair]:
-        """The ``k`` globally best pairs, scanned under bounded memory.
+        """The ``k`` globally best pairs, scanned under bounded memory;
+        blocks whose score bound cannot reach the k-th score are skipped
+        (exactly — see :func:`repro.core.topk.scan_top_pairs`).
 
         Scores are globally normalised (entries of the unit-Frobenius
         matrix); ties break by lowest ``node_a`` then ``node_b``, and the
@@ -440,7 +448,7 @@ class GSimIndex:
                     block_rows=block_rows,
                     context=context,
                     max_workers=max_workers,
-                    score_scale=1.0 / self._engine.global_norm,
+                    score_scale=1.0 / self.global_norm,
                 )
             finally:
                 duration = time.perf_counter() - start

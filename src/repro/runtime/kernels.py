@@ -77,25 +77,28 @@ def row_top_k(row: np.ndarray, k: int) -> np.ndarray:
 
 
 def scan_pairs(
-    task: tuple[Any, Any, int, int, int, int, Any],
+    task: tuple[Any, Any, list[int], int, int, float, Any],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan factor rows ``[start, stop)`` of ``U Vᵀ`` in blocks of
-    ``block_rows``; return the range's k-best ``(scores, rows, cols)``.
+    """Score the blocks of ``U Vᵀ`` that start at the ascending row
+    offsets ``starts`` (each ``block_rows`` rows, the last cut at
+    ``n_A``); return their k-best ``(scores, rows, cols)``.
 
-    The running candidate set is exact under truncation: rows are scanned
-    in ascending order, so an entry tying the current k-th score always
-    loses the ``(row, col)`` tie-break to every retained entry and can be
-    dropped; anything below the k-th score is dominated forever.
+    ``threshold`` is a known lower bound of the global k-th score
+    (``-inf`` when none is known): entries below it are dropped on
+    sight.  The running candidate set is exact under truncation: blocks
+    are scanned in ascending row order, so an entry tying the current
+    k-th score always loses the ``(row, col)`` tie-break to every
+    retained entry and can be dropped; anything below the k-th score is
+    dominated forever.
     """
-    u, v_t, start, stop, k, block_rows, context = task
+    u, v_t, starts, k, block_rows, threshold, context = task
     u, v_t = resolve(u), resolve(v_t)
-    n_b = v_t.shape[1]
+    n_a, n_b = u.shape[0], v_t.shape[1]
     best_scores = np.empty(0, dtype=np.float64)
     best_rows = np.empty(0, dtype=np.int64)
     best_cols = np.empty(0, dtype=np.int64)
-    threshold = -np.inf
-    for block_start in range(start, stop, block_rows):
-        block_stop = min(block_start + block_rows, stop)
+    for block_start in starts:
+        block_stop = min(block_start + block_rows, n_a)
         block_bytes = dense_matrix_bytes(
             block_stop - block_start, n_b, itemsize=v_t.dtype.itemsize
         )

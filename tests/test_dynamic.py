@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import gsim_plus
+from repro.core import LowRankFactors
 from repro.dynamic import DynamicGraph, SimilaritySession
 
 
@@ -131,6 +132,37 @@ class TestSimilaritySession:
         row = session.query([0], list(range(4)))[0]
         for col, score in matches.items():
             assert score == pytest.approx(row[col], rel=1e-9)
+
+    def test_reads_reuse_the_generation_norm(self, graphs, monkeypatch):
+        """Global normalisation divides by the norm the generation's index
+        computed once, not by a fresh Gram pass per read."""
+        session = SimilaritySession(*graphs, iterations=6)
+        rows, cols = [0, 2, 5], [0, 1, 3]
+        first = session.query(rows, cols)  # builds the generation
+        factors = session.lifecycle.live_generation.factors
+        norm = factors.frobenius_norm(include_scale=False)
+        expected = factors.query_block(rows, cols, include_scale=False) / norm
+        calls = []
+        original = LowRankFactors.frobenius_norm
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LowRankFactors, "frobenius_norm", counting)
+        for _ in range(50):
+            assert np.array_equal(session.query(rows, cols), expected)
+        (many,) = session.query_many([(rows, cols)])
+        assert np.array_equal(many, expected)
+        matches = session.top_matches(0, k=2)
+        assert calls == []
+        assert np.array_equal(first, expected)
+        row = factors.query_block([0], np.arange(4), include_scale=False)[0]
+        assert [score for _, score in matches] == sorted(
+            (float(value) / norm for value in row), reverse=True
+        )[:2]
+        assert session.stats.recomputes == 1
+        session.close()
 
     def test_refresh_forces_recompute(self, graphs):
         session = SimilaritySession(*graphs, iterations=4)

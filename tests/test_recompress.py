@@ -3,7 +3,8 @@
 Covers the first-class ``LowRankFactors`` representation end to end:
 
 * the rank-bounded recompression step (QR + small SVD + tail-energy
-  truncation) and its relative-error contract,
+  truncation) and its relative-error contract, also as a Hypothesis
+  oracle over solver factors of random graph pairs,
 * the precision policy (float64 exact default, opt-in float32) and
   float32-vs-float64 parity on the paper's worked example,
 * width bounded by numerical rank instead of the ``2^k`` doubling
@@ -16,11 +17,13 @@ Covers the first-class ``LowRankFactors`` representation end to end:
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import LowRankFactors, TruncationInfo, error_bound
 from repro.core.gsim_plus import DEFAULT_RECOMPRESS_TOL, GSimPlus, gsim_plus
 from repro.core.serialization import load_factors, save_factors
-from repro.graphs import load_dataset_pair
+from repro.graphs import erdos_renyi_graph, load_dataset_pair
 from repro.retrieval import GSimIndex
 from repro.runtime import ExecutionContext, Metrics
 
@@ -160,6 +163,42 @@ class TestRecompressed:
         compressed = self._rank3_factors().astype(np.float32).recompressed(1e-5)
         assert compressed.dtype == np.float32
         assert compressed.width == 3
+
+
+@st.composite
+def _graph(draw):
+    n = draw(st.integers(2, 24))
+    m = draw(st.integers(1, min(4 * n, n * (n - 1))))
+    return erdos_renyi_graph(n, m, seed=draw(st.integers(0, 2**16)))
+
+
+class TestRecompressionOracle:
+    """``||Z - Z_tol||_F <= tol * ||Z||_F`` against the materialised
+    matrices of solver factors on random graph pairs."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(graph_a=_graph(), graph_b=_graph(), iterations=st.integers(1, 6))
+    def test_error_within_tolerance_on_random_graph_pairs(
+        self, graph_a, graph_b, iterations
+    ):
+        state = None
+        for state in GSimPlus(graph_a, graph_b, rank_cap="qr-compress").iterate(
+            iterations
+        ):
+            pass
+        factors = state.factors
+        z = _dense(factors)
+        norm = np.linalg.norm(z)
+        # Rounding of the two materialisations, far below every tol here.
+        rounding = 64 * factors.width * np.finfo(float).eps * np.linalg.norm(
+            np.abs(factors.u) @ np.abs(factors.v).T
+        ) * factors.scale
+        for tol in (1e-1, 1e-3, 1e-6, 1e-10):
+            compressed = factors.recompressed(tol)
+            assert compressed.width <= factors.width
+            error = np.linalg.norm(z - _dense(compressed))
+            assert error <= tol * norm + rounding, (tol, error / norm)
 
 
 # ----------------------------------------------------------------------
