@@ -196,30 +196,18 @@ class ExperimentConfig:
     recompress_tol: float | None = None
     metrics_sink: "Metrics | None" = None
     slow_queries: "SlowQueryLog | None" = None
-    backend: str = "thread"
-    solver_workers: int | None = None
 
     def solver_options(self) -> dict[str, object]:
         """Non-default GSim+ solver knobs, for :func:`run_algorithm`.
 
         Defaults map to an empty dict so journal cell keys (and
         measured behaviour) are unchanged for existing sweeps.
-
-        ``backend``/``solver_workers`` parallelise the SpMM *inside* each
-        GSim+ cell (``max_workers`` parallelises across cells, which must
-        stay on threads — cell closures are not picklable).  Results are
-        bit-identical either way, so journal keys are again only extended
-        for non-default values.
         """
         options: dict[str, object] = {}
         if self.precision != "float64":
             options["precision"] = self.precision
         if self.recompress_tol is not None:
             options["recompress_tol"] = self.recompress_tol
-        if self.backend != "thread":
-            options["backend"] = self.backend
-        if self.solver_workers is not None:
-            options["max_workers"] = self.solver_workers
         return options
 
     # k per profile such that 2^k stays well below the scaled |V_B|

@@ -85,7 +85,7 @@ class TestCLI:
             assert name in out
 
     def test_bound_runs(self, capsys):
-        exit_code = main(["bound", "--scale", "tiny"])
+        exit_code = main(["bound"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Theorem 4.2" in out
@@ -153,3 +153,89 @@ class TestCLI:
         out = capsys.readouterr().out
         assert f"Figure {figure[3:]}" in out
         assert "GSim+" in out
+
+
+# Flags a subcommand used to accept without reading; each is now rejected.
+_UNREAD_FLAGS = [
+    *[("bound", flag) for flag in (
+        ["--scale", "tiny"], ["-k", "4"], ["--algorithms", "GSim"],
+        ["--deadline", "1"], ["--memory-budget-mib", "1"],
+    )],
+    *[("accuracy", flag) for flag in (
+        ["-k", "4"], ["--algorithms", "GSim"], ["--deadline", "1"],
+        ["--memory-budget-mib", "1"],
+    )],
+    *[("topk", flag) for flag in (
+        ["--algorithms", "GSim"], ["--deadline", "1"],
+        ["--memory-budget-mib", "1"],
+    )],
+    ("live", ["--backend", "process"]),
+    ("spec x.json", ["--backend", "process"]),
+    *[(command, ["--backend", "process"]) for command in (
+        "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "all",
+    )],
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _UNREAD_FLAGS,
+    ids=[f"{command.split()[0]} {flag[0]}" for command, flag in _UNREAD_FLAGS],
+)
+def test_unread_flag_is_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split() + flag)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_spec_precision_flag_overrides_file(tmp_path, capsys):
+    import json
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "name": "precision-override",
+        "datasets": ["HP"],
+        "algorithms": ["GSim+"],
+        "scale": "tiny",
+        "iterations": 2,
+        "query_size": 4,
+        "precision": "float32",
+    }))
+    argv = ["spec", str(spec_path), "--checkpoint-dir", str(tmp_path)]
+    assert main(argv + ["--precision", "float64"]) == 0
+    journal = tmp_path / "spec-journal.jsonl"
+    keys = [json.loads(line)["key"] for line in journal.read_text().splitlines()]
+    assert keys and not any("precision" in key for key in keys)
+
+    journal.unlink()
+    assert main(argv) == 0  # without the flag, the file's float32 holds
+    keys = [json.loads(line)["key"] for line in journal.read_text().splitlines()]
+    assert keys and all("precision=float32" in key for key in keys)
+
+
+def test_datasets_convert_writes_metrics(tmp_path, capsys):
+    import json
+
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n2 0\n2 3\n")
+    metrics_path = tmp_path / "metrics.json"
+    code = main([
+        "datasets", "--metrics", str(metrics_path),
+        "convert", str(edges), str(tmp_path / "artifact"),
+    ])
+    assert code == 0
+    counters = json.loads(metrics_path.read_text())["counters"]
+    assert counters["mmap_convert.stages_run"] > 0
+
+
+def test_sim_maps_artifact_directories(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n2 0\n2 3\n")
+    artifact = tmp_path / "artifact"
+    assert main(["datasets", "convert", str(edges), str(artifact)]) == 0
+    capsys.readouterr()
+    argv = ["-k", "3", "--top", "2"]
+    assert main(["sim", str(artifact), str(artifact), *argv]) == 0
+    mapped = capsys.readouterr().out
+    assert main(["sim", str(edges), str(edges), *argv]) == 0
+    assert mapped == capsys.readouterr().out
